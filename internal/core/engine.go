@@ -11,7 +11,9 @@
 //	    load its update log, sort by destination, extract active vertices
 //	    load the active vertices' values, adjacency (CSR pages or edge
 //	    log), and aux state
-//	    process each active vertex; sends append to next-generation logs
+//	    process each active vertex, in rounds bounded by the multi-log
+//	    budget; each worker stages its sends, and the round's sends are
+//	    replayed into the next-generation logs in vertex order
 //	    log out-edges of predicted-active vertices on inefficient pages
 //	flush next-generation logs; swap generations
 package core
@@ -20,10 +22,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"multilogvc/internal/bitset"
@@ -34,6 +36,7 @@ import (
 	"multilogvc/internal/mlog"
 	"multilogvc/internal/obsv"
 	"multilogvc/internal/pagecache"
+	"multilogvc/internal/sendstage"
 	"multilogvc/internal/sortgroup"
 	"multilogvc/internal/ssd"
 	"multilogvc/internal/vc"
@@ -89,7 +92,9 @@ type Config struct {
 	// MaxSupersteps defaults to 15, the paper's evaluation cap.
 	MaxSupersteps int
 	// Workers is the vertex-processing parallelism; defaults to
-	// runtime.GOMAXPROCS(0).
+	// runtime.GOMAXPROCS(0). Results, page counts and virtual device time
+	// do not depend on it: sends are staged per worker and replayed in
+	// vertex order.
 	Workers int
 	// DisableEdgeLog turns the edge-log optimizer off (ablation).
 	DisableEdgeLog bool
@@ -553,6 +558,8 @@ func (e *Engine) runOnce(ctx context.Context, prog vc.Program, resume bool, roll
 		}()
 	}
 
+	var sends sendstage.Buffers[mlog.Update]
+	var mutBufs sendstage.Buffers[vc.Mutation]
 	var cumProcessed uint64
 	converged := false
 	live := obsv.Live()
@@ -674,7 +681,7 @@ func (e *Engine) runOnce(ctx context.Context, prog vc.Program, resume bool, roll
 					values: values, batch: batch, carry: carry, step: step,
 					elog: elog, pred: pred, elogBudget: elogBudget,
 					nextLog: nextLog, curLog: curLog, ss: &ss,
-					muts: &stepMuts,
+					muts: &stepMuts, sends: &sends, mutBufs: &mutBufs, lanes: lanes,
 				}); err != nil {
 					break
 				}
@@ -1125,6 +1132,13 @@ type batchRun struct {
 	curLog     *mlog.Log
 	ss         *metrics.SuperstepStats
 	muts       *[]vc.Mutation
+	// sends and mutBufs are the run's per-worker staging buffers, reused
+	// by every round.
+	sends   *sendstage.Buffers[mlog.Update]
+	mutBufs *sendstage.Buffers[vc.Mutation]
+	// lanes is the program's lane count: a lane-batched vertex may send
+	// along each out-edge once per lane.
+	lanes int
 }
 
 // adjEntry is one active vertex's adjacency, plus where it came from.
@@ -1141,19 +1155,13 @@ type adjEntry struct {
 func (e *Engine) processBatch(br *batchRun) error {
 	batch := br.batch
 	// Everything this batch touches — value pages, adjacency, aux, and the
-	// message-log evictions its worker Sends trigger — is vertex-processing
-	// IO on the batch's interval range. Workers inherit the tag: they only
-	// issue device IO through Send, whose eviction path runs while this
-	// phase owns the device tag.
+	// message-log evictions its replayed sends trigger — is vertex-processing
+	// IO on the batch's interval range. Workers issue no device IO: their
+	// sends are staged and replayed on this goroutine under this tag.
 	prevS, prevIv := e.io.SetStage(obsv.StageVertex, batch.FirstIv)
 	defer e.io.SetStage(prevS, prevIv)
-	// Active set = message destinations ∪ carried-live vertices in range.
-	verts := batch.ActiveVertices()
-	br.carry.RangeInRange(int(batch.Lo), int(batch.Hi), func(i int) bool {
-		verts = append(verts, uint32(i))
-		return true
-	})
-	verts = sortedDedup(verts)
+	recs := batch.Recs
+	verts, msgRange := activeVertices(recs, br.carry, batch.Lo, batch.Hi)
 	if len(verts) == 0 {
 		return nil
 	}
@@ -1299,97 +1307,31 @@ func (e *Engine) processBatch(br *batchRun) error {
 
 	auxSpan.End()
 
-	// Per-vertex message ranges within the sorted record slice.
-	msgRange := make([][2]int, len(verts))
-	recs := batch.Recs
-	pos := 0
-	for i, v := range verts {
-		for pos < len(recs) && recs[pos].Dst < v {
-			pos++
-		}
-		start := pos
-		for pos < len(recs) && recs[pos].Dst == v {
-			pos++
-		}
-		msgRange[i] = [2]int{start, pos}
-	}
-
-	// Process vertices in parallel chunks.
+	// Process the vertices in rounds. A round closes once its vertices'
+	// out-degrees (+1 each, times the lane count for lane-batched
+	// programs) reach the multi-log buffer budget in records, which bounds
+	// the sends staged before the round is replayed into the logs. Cuts
+	// depend only on the input, and the replay appends in vertex order
+	// whatever the cuts, so rounds never change the logs.
 	procSpan := tr.Begin("engine", "process-vertices")
 	procSpan.Arg("verts", int64(len(verts)))
-	workers := e.cfg.Workers
-	if workers > len(verts) {
-		workers = len(verts)
-	}
 	halted := make([]bool, len(verts))
-	var sent atomic.Uint64
-	var firstErr atomic.Value
-	// Panic capture is separate from firstErr: a program's Process panic
-	// on a worker goroutine would otherwise kill the whole process (the
-	// serving daemon included). The first panic wins; wg.Wait() publishes
-	// the write.
-	var panicOnce sync.Once
-	var panicErr error
-	var wg sync.WaitGroup
-	workerMuts := make([][]vc.Mutation, workers)
-	chunk := (len(verts) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(verts) {
-			hi = len(verts)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() {
-						panicErr = fmt.Errorf("%w: vertex worker: %v", ErrPanic, r)
-					})
-				}
-			}()
-			ctx := &engineCtx{eng: e, br: br, vb: vb, adj: adj, inSources: inSources, auxBatches: auxBatches, sent: &sent, muts: &workerMuts[w]}
-			var msgBuf []vc.Msg
-			for i := lo; i < hi; i++ {
-				v := verts[i]
-				r := msgRange[i]
-				msgBuf = msgBuf[:0]
-				for k := r[0]; k < r[1]; k++ {
-					msgBuf = append(msgBuf, vc.Msg{Src: recs[k].Src, Data: recs[k].Data})
-				}
-				msgs := msgBuf
-				if br.combiner != nil && len(msgs) > 1 {
-					acc := msgs[0].Data
-					for _, m := range msgs[1:] {
-						acc = br.combiner.Combine(acc, m.Data)
-					}
-					msgs = []vc.Msg{{Src: msgs[0].Src, Data: acc}}
-				}
-				ctx.vertex = v
-				ctx.haltedFlag = &halted[i]
-				br.prog.Process(ctx, msgs)
-				if ctx.err != nil {
-					firstErr.CompareAndSwap(nil, ctx.err)
-					return
-				}
+	proto := engineCtx{eng: e, br: br, vb: vb, adj: adj, inSources: inSources, auxBatches: auxBatches}
+	roundRecs := int(br.nextLog.Budget() / mlog.RecordBytes)
+	for lo := 0; lo < len(verts); {
+		hi, deg := lo, 0
+		for hi < len(verts) && deg < roundRecs {
+			deg++
+			if a := adj[verts[hi]]; a != nil {
+				deg += len(a.nbrs) * br.lanes
 			}
-		}(w, lo, hi)
+			hi++
+		}
+		if err := e.processRound(proto, verts[lo:hi], msgRange[lo:hi], halted[lo:hi]); err != nil {
+			return err
+		}
+		lo = hi
 	}
-	wg.Wait()
-	if panicErr != nil {
-		return panicErr
-	}
-	if err, _ := firstErr.Load().(error); err != nil {
-		return err
-	}
-	for _, wm := range workerMuts {
-		*br.muts = append(*br.muts, wm...)
-	}
-	br.ss.MsgsSent += sent.Load()
 	procSpan.End()
 
 	// Update the carry set: processed vertices stay live unless halted.
@@ -1438,6 +1380,110 @@ func (e *Engine) processBatch(br *batchRun) error {
 	return nil
 }
 
+// activeVertices returns the batch's active set — message destinations ∪
+// carried-live vertices in [lo, hi), ascending — with each vertex's
+// message range in recs, which are sorted by destination. It is one merge
+// of the two ascending sequences (the paper's ExtractActiveVert).
+func activeVertices(recs []sortgroup.Rec, carry *bitset.Set, lo, hi uint32) (verts []uint32, msgRange [][2]int) {
+	pos := 0
+	group := func(v uint32) {
+		start := pos
+		for pos < len(recs) && recs[pos].Dst == v {
+			pos++
+		}
+		verts = append(verts, v)
+		msgRange = append(msgRange, [2]int{start, pos})
+	}
+	carry.RangeInRange(int(lo), int(hi), func(i int) bool {
+		for pos < len(recs) && recs[pos].Dst < uint32(i) {
+			group(recs[pos].Dst)
+		}
+		group(uint32(i))
+		return true
+	})
+	for pos < len(recs) {
+		group(recs[pos].Dst)
+	}
+	return verts, msgRange
+}
+
+// processRound runs one round — a contiguous run of the batch's active
+// vertices with their message ranges and halt flags — on the worker pool.
+// Each worker takes a contiguous chunk and a copy of proto, the batch's
+// context, and stages its sends and mutations in its own buffers; the
+// buffers are then replayed in worker order — global vertex order — into
+// the message logs on this goroutine. The logs, and the device IO their
+// evictions issue, are therefore those of a one-worker run at any Workers
+// or GOMAXPROCS.
+func (e *Engine) processRound(proto engineCtx, verts []uint32, msgRange [][2]int, halted []bool) error {
+	br := proto.br
+	workers := min(e.cfg.Workers, len(verts))
+	br.sends.Reset(workers)
+	br.mutBufs.Reset(workers)
+	recs := br.batch.Recs
+	// Panic capture: a program's Process panic on a worker goroutine would
+	// otherwise kill the whole process (the serving daemon included). The
+	// first panic wins; wg.Wait() publishes the write.
+	var panicOnce sync.Once
+	var panicErr error
+	var wg sync.WaitGroup
+	chunk := (len(verts) + workers - 1) / workers
+	for w := 0; w < workers; w++ {
+		lo := w * chunk
+		hi := min(lo+chunk, len(verts))
+		if lo >= hi {
+			continue
+		}
+		wg.Add(1)
+		go func(w, lo, hi int) {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicOnce.Do(func() {
+						panicErr = fmt.Errorf("%w: vertex worker: %v", ErrPanic, r)
+					})
+				}
+			}()
+			ctx := proto
+			ctx.sends, ctx.muts = br.sends.Worker(w), br.mutBufs.Worker(w)
+			var msgBuf []vc.Msg
+			for i := lo; i < hi; i++ {
+				r := msgRange[i]
+				msgBuf = msgBuf[:0]
+				for k := r[0]; k < r[1]; k++ {
+					msgBuf = append(msgBuf, vc.Msg{Src: recs[k].Src, Data: recs[k].Data})
+				}
+				msgs := msgBuf
+				if br.combiner != nil && len(msgs) > 1 {
+					acc := msgs[0].Data
+					for _, m := range msgs[1:] {
+						acc = br.combiner.Combine(acc, m.Data)
+					}
+					msgs = []vc.Msg{{Src: msgs[0].Src, Data: acc}}
+				}
+				ctx.vertex = verts[i]
+				ctx.haltedFlag = &halted[i]
+				br.prog.Process(&ctx, msgs)
+			}
+		}(w, lo, hi)
+	}
+	wg.Wait()
+	if panicErr != nil {
+		return panicErr
+	}
+	for _, wm := range br.mutBufs.Staged() {
+		*br.muts = append(*br.muts, wm...)
+	}
+	br.ss.MsgsSent += uint64(br.sends.Len())
+	// Asynchronous model: forward sends (to intervals processed later this
+	// superstep) stay in the current generation.
+	cur, fwdFrom := (*mlog.Log)(nil), int32(math.MaxInt32)
+	if e.cfg.Async {
+		cur, fwdFrom = br.curLog, int32(br.batch.LastIv+1)
+	}
+	return mlog.Replay(br.nextLog, cur, fwdFrom, br.sends.Staged()...)
+}
+
 // engineCtx implements vc.Context for one worker.
 type engineCtx struct {
 	eng        *Engine
@@ -1446,12 +1492,11 @@ type engineCtx struct {
 	adj        map[uint32]*adjEntry
 	inSources  map[uint32][]uint32
 	auxBatches map[int]*csr.AuxBatch
-	sent       *atomic.Uint64
+	sends      *[]mlog.Update
 
 	vertex     uint32
 	haltedFlag *bool
 	muts       *[]vc.Mutation
-	err        error
 }
 
 func (c *engineCtx) Superstep() int      { return c.br.step }
@@ -1483,18 +1528,11 @@ func (c *engineCtx) OutWeights() []uint32 {
 	return nil
 }
 
+// Send stages the update in the worker's buffer; processRound replays it
+// into the logs after the round.
 func (c *engineCtx) Send(dst, data uint32) {
-	iv := c.eng.g.IntervalOf(dst)
-	log := c.br.nextLog
-	// Asynchronous model: forward sends (to intervals processed later
-	// this superstep) stay in the current generation.
-	if c.eng.cfg.Async && iv > c.br.batch.LastIv {
-		log = c.br.curLog
-	}
-	if err := log.Append(iv, dst, c.vertex, data); err != nil && c.err == nil {
-		c.err = err
-	}
-	c.sent.Add(1)
+	iv := int32(c.eng.g.IntervalOf(dst))
+	*c.sends = append(*c.sends, mlog.Update{Dst: dst, Src: c.vertex, Data: data, Iv: iv})
 }
 
 func (c *engineCtx) InEdgeSources() []uint32 { return c.inSources[c.vertex] }
@@ -1579,19 +1617,4 @@ func publishLive(live *obsv.LiveVars, ss *metrics.SuperstepStats) {
 			live.StagePagesWritten.Add(st.Stage, int64(st.PagesWritten))
 		}
 	}
-}
-
-func sortedDedup(s []uint32) []uint32 {
-	if len(s) == 0 {
-		return s
-	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	w := 1
-	for i := 1; i < len(s); i++ {
-		if s[i] != s[i-1] {
-			s[w] = s[i]
-			w++
-		}
-	}
-	return s[:w]
 }

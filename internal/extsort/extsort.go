@@ -11,8 +11,8 @@ package extsort
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
-	"sort"
 
 	"multilogvc/internal/ssd"
 )
@@ -39,17 +39,18 @@ type Emit func(r Record) error
 // Source streams input records.
 type Source func(yield func(r Record) error) error
 
-// Sort sorts the records produced by src by destination within memBudget
-// bytes of record memory, spilling runs to device files "<prefix>.run.N".
-// When combine is non-nil, records with equal destinations are merged.
-// Run files are deleted afterwards.
-func Sort(dev *ssd.Device, prefix string, src Source, memBudget int64, combine func(a, b uint32) uint32, emit Emit) (Stats, error) {
+// Sort stably sorts the records produced by src, whose destinations must
+// lie in [lo, hi), by destination within memBudget bytes of record memory,
+// spilling runs to device files "<prefix>.run.N". When combine is non-nil,
+// records with equal destinations are merged. Run files are deleted
+// afterwards.
+func Sort(dev *ssd.Device, prefix string, src Source, lo, hi uint32, memBudget int64, combine func(a, b uint32) uint32, emit Emit) (Stats, error) {
 	capRecs := int(memBudget / RecordBytes)
 	if capRecs < 2 {
 		capRecs = 2
 	}
 
-	rs := NewRuns(dev, prefix, combine)
+	rs := NewRuns(dev, prefix, lo, hi, combine)
 	defer rs.Remove()
 	buf := make([]Record, 0, capRecs)
 
@@ -69,7 +70,10 @@ func Sort(dev *ssd.Device, prefix string, src Source, memBudget int64, combine f
 
 	if rs.NumRuns() == 0 {
 		// Everything fit in memory: no external phase.
-		sortRecs(buf)
+		buf, err = SortByDst(buf, lo, hi)
+		if err != nil {
+			return rs.st, err
+		}
 		if combine != nil {
 			buf = combineSorted(buf, combine, &rs.st)
 		}
@@ -110,6 +114,7 @@ func Sort(dev *ssd.Device, prefix string, src Source, memBudget int64, combine f
 type Runs struct {
 	dev     *ssd.Device
 	prefix  string
+	lo, hi  uint32 // destination range every record must lie in
 	combine func(a, b uint32) uint32
 	scope   *ssd.IOScope
 	files   []*ssd.File
@@ -117,23 +122,28 @@ type Runs struct {
 	st      Stats
 }
 
-// NewRuns prepares a run accumulator. combine, when non-nil, merges
-// equal-destination records within each run and across runs during Merge.
-func NewRuns(dev *ssd.Device, prefix string, combine func(a, b uint32) uint32) *Runs {
-	return &Runs{dev: dev, prefix: prefix, combine: combine}
+// NewRuns prepares a run accumulator for records whose destinations lie
+// in [lo, hi). combine, when non-nil, merges equal-destination records
+// within each run and across runs during Merge.
+func NewRuns(dev *ssd.Device, prefix string, lo, hi uint32, combine func(a, b uint32) uint32) *Runs {
+	return &Runs{dev: dev, prefix: prefix, lo: lo, hi: hi, combine: combine}
 }
 
 // SetScope attributes run-file IO to a per-run ssd.IOScope. Must be set
 // before the first Flush; run files adopt the scope at creation.
 func (rs *Runs) SetScope(sc *ssd.IOScope) { rs.scope = sc }
 
-// Flush sorts recs and writes them as one run. The slice is sorted in
-// place and may be reused by the caller afterwards. Empty input is a no-op.
+// Flush sorts recs and writes them as one run. The slice is left as is
+// and may be reused by the caller afterwards. Empty input is a no-op; a
+// record outside the Runs' destination range is an ErrOutOfRange error.
 func (rs *Runs) Flush(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	sortRecs(recs)
+	recs, err := SortByDst(recs, rs.lo, rs.hi)
+	if err != nil {
+		return err
+	}
 	if rs.combine != nil {
 		recs = combineSorted(recs, rs.combine, &rs.st)
 	}
@@ -190,7 +200,7 @@ func (rs *Runs) Remove() {
 func (rs *Runs) Merge() *Merger {
 	m := &Merger{rs: rs, h: &runHeap{}}
 	for i, f := range rs.files {
-		rr := &runReader{r: ssd.NewReader(f, 16), remaining: rs.counts[i]}
+		rr := &runReader{r: ssd.NewReader(f, 16), remaining: rs.counts[i], run: i}
 		if rr.advance() {
 			heap.Push(m.h, rr)
 		} else if rr.err != nil {
@@ -258,8 +268,39 @@ func (m *Merger) Close() {
 	m.rs.Remove()
 }
 
-func sortRecs(recs []Record) {
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Dst < recs[j].Dst })
+// ErrOutOfRange reports a record whose destination lies outside the
+// range it is sorted over — a log holding a record it cannot own.
+var ErrOutOfRange = errors.New("extsort: record destination out of range")
+
+// SortByDst stably sorts recs, whose destinations must all lie in
+// [lo, hi), by destination into a new slice; a record outside the range
+// is an ErrOutOfRange error. It is a counting sort keyed on Dst-lo
+// (BigSparse-style bucketing: an interval is a bounded, contiguous vertex
+// range), so equal destinations keep their input order and each vertex
+// sees its messages in send order.
+func SortByDst(recs []Record, lo, hi uint32) ([]Record, error) {
+	for _, r := range recs {
+		if r.Dst < lo || r.Dst >= hi {
+			return nil, fmt.Errorf("%w: dst %d not in [%d, %d)", ErrOutOfRange, r.Dst, lo, hi)
+		}
+	}
+	if len(recs) == 0 {
+		return recs, nil
+	}
+	start := make([]int, int(hi-lo)+1)
+	for _, r := range recs {
+		start[r.Dst-lo+1]++
+	}
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	out := make([]Record, len(recs))
+	for _, r := range recs {
+		k := r.Dst - lo
+		out[start[k]] = r
+		start[k]++
+	}
+	return out, nil
 }
 
 // combineSorted merges equal-destination neighbors in a dst-sorted slice.
@@ -294,6 +335,7 @@ func writeRec(w *ssd.Writer, r Record) error {
 type runReader struct {
 	r         *ssd.Reader
 	remaining uint64
+	run       int // flush order: breaks destination ties in the merge
 	cur       Record
 	err       error // sticky read failure; checked by Merger
 }
@@ -324,8 +366,17 @@ func le32(b []byte) uint32 {
 
 type runHeap []*runReader
 
-func (h runHeap) Len() int            { return len(h) }
-func (h runHeap) Less(i, j int) bool  { return h[i].cur.Dst < h[j].cur.Dst }
+func (h runHeap) Len() int { return len(h) }
+
+// Less orders by destination, then by run: runs were cut from the input
+// in order and are each stably sorted, so equal destinations leave the
+// merge in input order.
+func (h runHeap) Less(i, j int) bool {
+	if h[i].cur.Dst != h[j].cur.Dst {
+		return h[i].cur.Dst < h[j].cur.Dst
+	}
+	return h[i].run < h[j].run
+}
 func (h runHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *runHeap) Push(x interface{}) { *h = append(*h, x.(*runReader)) }
 func (h *runHeap) Pop() interface{} {

@@ -1,6 +1,7 @@
 package extsort
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -40,7 +41,7 @@ func TestInMemorySort(t *testing.T) {
 	d := dev()
 	recs := []Record{{Dst: 5}, {Dst: 1}, {Dst: 3}}
 	var out []Record
-	st, err := Sort(d, "s", sliceSource(recs), 1<<20, nil, func(r Record) error {
+	st, err := Sort(d, "s", sliceSource(recs), 0, 8, 1<<20, nil, func(r Record) error {
 		out = append(out, r)
 		return nil
 	})
@@ -64,7 +65,7 @@ func TestExternalSortSpillsRuns(t *testing.T) {
 	recs := randomRecs(rng, 1000, 500)
 	// Budget for ~50 records per run.
 	var out []Record
-	st, err := Sort(d, "s", sliceSource(recs), 50*RecordBytes, nil, func(r Record) error {
+	st, err := Sort(d, "s", sliceSource(recs), 0, 500, 50*RecordBytes, nil, func(r Record) error {
 		out = append(out, r)
 		return nil
 	})
@@ -96,7 +97,7 @@ func TestSortPreservesMultiset(t *testing.T) {
 	for _, r := range recs {
 		counts[r]++
 	}
-	_, err := Sort(d, "s", sliceSource(recs), 64*RecordBytes, nil, func(r Record) error {
+	_, err := Sort(d, "s", sliceSource(recs), 0, 60, 64*RecordBytes, nil, func(r Record) error {
 		counts[r]--
 		return nil
 	})
@@ -114,7 +115,7 @@ func TestCombineInMemory(t *testing.T) {
 	d := dev()
 	recs := []Record{{Dst: 1, Data: 10}, {Dst: 1, Data: 20}, {Dst: 2, Data: 5}}
 	var out []Record
-	st, err := Sort(d, "s", sliceSource(recs), 1<<20,
+	st, err := Sort(d, "s", sliceSource(recs), 0, 8, 1<<20,
 		func(a, b uint32) uint32 { return a + b },
 		func(r Record) error { out = append(out, r); return nil })
 	if err != nil {
@@ -137,7 +138,7 @@ func TestCombineExternalMatchesSum(t *testing.T) {
 		want[r.Dst] += r.Data
 	}
 	got := make(map[uint32]uint32)
-	st, err := Sort(d, "s", sliceSource(recs), 64*RecordBytes,
+	st, err := Sort(d, "s", sliceSource(recs), 0, 30, 64*RecordBytes,
 		func(a, b uint32) uint32 { return a + b },
 		func(r Record) error {
 			if _, dup := got[r.Dst]; dup {
@@ -161,7 +162,7 @@ func TestCombineExternalMatchesSum(t *testing.T) {
 
 func TestEmptyInput(t *testing.T) {
 	d := dev()
-	st, err := Sort(d, "s", sliceSource(nil), 1<<20, nil, func(Record) error {
+	st, err := Sort(d, "s", sliceSource(nil), 0, 8, 1<<20, nil, func(Record) error {
 		t.Fatal("emit on empty input")
 		return nil
 	})
@@ -178,7 +179,7 @@ func TestQuickSortMatchesStdlib(t *testing.T) {
 		recs := randomRecs(rng, n, 50)
 		budget := int64(budgetRaw%40+2) * RecordBytes
 		var out []Record
-		_, err := Sort(dev(), "s", sliceSource(recs), budget, nil, func(r Record) error {
+		_, err := Sort(dev(), "s", sliceSource(recs), 0, 50, budget, nil, func(r Record) error {
 			out = append(out, r)
 			return nil
 		})
@@ -211,5 +212,90 @@ func TestQuickSortMatchesStdlib(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// stableRef is the expected stable order: by destination, then input
+// position (records carry their input index in Src).
+func stableRef(recs []Record) []Record {
+	want := append([]Record(nil), recs...)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].Dst < want[j].Dst })
+	return want
+}
+
+func indexed(rng *rand.Rand, n, dstRange int) []Record {
+	recs := randomRecs(rng, n, dstRange)
+	for i := range recs {
+		recs[i].Src = uint32(i)
+	}
+	return recs
+}
+
+// Both sorts are stable: in memory and across spilled runs, equal
+// destinations leave in input order.
+func TestSortIsStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	recs := indexed(rng, 3000, 40) // ~75 records per destination
+	want := stableRef(recs)
+	for _, budget := range []int64{1 << 20, 100 * RecordBytes} {
+		var got []Record
+		st, err := Sort(dev(), "s", sliceSource(recs), 0, 40, budget, nil, func(r Record) error {
+			got = append(got, r)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if budget < 1<<20 && st.Runs < 2 {
+			t.Fatalf("budget %d: %d runs, want several", budget, st.Runs)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("budget %d (%d runs): out[%d] = %+v, want %+v", budget, st.Runs, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// SortByDst is stable whether the range is dense or sparse relative to
+// the record count, and it rejects a record outside the range with a
+// classified error instead of panicking — as do Sort's in-memory and
+// spilled paths.
+func TestSortByDst(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, tc := range []struct {
+		name   string
+		lo, hi uint32
+	}{{"dense", 100, 150}, {"sparse", 100, 1 << 20}} {
+		recs := indexed(rng, 500, 50)
+		for i := range recs {
+			recs[i].Dst += 100
+		}
+		want := stableRef(recs)
+		got, err := SortByDst(recs, tc.lo, tc.hi)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: out[%d] = %+v, want %+v", tc.name, i, got[i], want[i])
+			}
+		}
+	}
+	for _, dst := range []uint32{99, 150} {
+		recs := []Record{{Dst: 120}, {Dst: dst}}
+		if _, err := SortByDst(recs, 100, 150); !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("dst %d outside [100, 150): err = %v, want ErrOutOfRange", dst, err)
+		}
+	}
+	if got, err := SortByDst(nil, 0, 10); err != nil || len(got) != 0 {
+		t.Fatalf("empty input: %v, %v", got, err)
+	}
+	recs := []Record{{Dst: 3}, {Dst: 1}, {Dst: 10}}
+	for _, budget := range []int64{1 << 20, 2 * RecordBytes} {
+		_, err := Sort(dev(), "s", sliceSource(recs), 0, 10, budget, nil, func(Record) error { return nil })
+		if !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("Sort budget %d, dst 10 outside [0, 10): err = %v, want ErrOutOfRange", budget, err)
+		}
 	}
 }

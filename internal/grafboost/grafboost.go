@@ -29,6 +29,7 @@ import (
 	"multilogvc/internal/metrics"
 	"multilogvc/internal/obsv"
 	"multilogvc/internal/pagecache"
+	"multilogvc/internal/sendstage"
 	"multilogvc/internal/ssd"
 	"multilogvc/internal/vc"
 )
@@ -164,6 +165,7 @@ func (e *Engine) Run(prog vc.Program) (*Result, error) {
 		}
 	}
 
+	var sends sendstage.Buffers[extsort.Record]
 	var cumProcessed uint64
 	converged := false
 	for step := 0; step < cfg.MaxSupersteps; step++ {
@@ -211,7 +213,7 @@ func (e *Engine) Run(prog vc.Program) (*Result, error) {
 			}
 			return nil
 		}
-		_, err := extsort.Sort(dev, name+".gb.sort", readLog, cfg.MemoryBudget,
+		_, err := extsort.Sort(dev, name+".gb.sort", readLog, 0, n, cfg.MemoryBudget,
 			combineFn, func(r extsort.Record) error {
 				sorted = append(sorted, r)
 				return nil
@@ -228,18 +230,15 @@ func (e *Engine) Run(prog vc.Program) (*Result, error) {
 		}
 		logW = ssd.NewWriter(logF)
 		logCount = 0
-		var logMu sync.Mutex
-		appendLog := func(dst, src, data uint32) error {
-			logMu.Lock()
-			defer logMu.Unlock()
+		appendLog := func(r extsort.Record) error {
 			logCount++
-			if err := logW.WriteU32(dst); err != nil {
+			if err := logW.WriteU32(r.Dst); err != nil {
 				return err
 			}
-			if err := logW.WriteU32(src); err != nil {
+			if err := logW.WriteU32(r.Src); err != nil {
 				return err
 			}
-			return logW.WriteU32(data)
+			return logW.WriteU32(r.Data)
 		}
 
 		// Stream the whole graph interval by interval; GraFBoost cannot
@@ -249,7 +248,7 @@ func (e *Engine) Run(prog vc.Program) (*Result, error) {
 			if err := e.processInterval(&ivRun{
 				prog: prog, values: values, aux: aux, isAux: isAux,
 				iv: iv, step: step, carry: carry, sorted: sorted,
-				pos: &pos, appendLog: appendLog, ss: &ss,
+				pos: &pos, appendLog: appendLog, sends: &sends, ss: &ss,
 			}); err != nil {
 				return nil, err
 			}
@@ -306,7 +305,8 @@ type ivRun struct {
 	carry     *bitset.Set
 	sorted    []extsort.Record
 	pos       *int
-	appendLog func(dst, src, data uint32) error
+	appendLog func(r extsort.Record) error
+	sends     *sendstage.Buffers[extsort.Record] // per-worker, reused
 	ss        *metrics.SuperstepStats
 }
 
@@ -407,9 +407,11 @@ func (e *Engine) processInterval(ir *ivRun) error {
 		workers = len(verts)
 	}
 	halted := make([]bool, len(verts))
+	// Sends are staged per worker and replayed in worker order — vertex
+	// order — after the pass, so the log (and the runs its external sort
+	// cuts and combines) is the same at any worker count.
+	ir.sends.Reset(workers)
 	var wg sync.WaitGroup
-	var firstErr error
-	var errMu sync.Mutex
 	chunk := (len(verts) + workers - 1) / workers
 	for w := 0; w < workers; w++ {
 		lo, hi := w*chunk, (w+1)*chunk
@@ -420,9 +422,10 @@ func (e *Engine) processInterval(ir *ivRun) error {
 			continue
 		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(w, lo, hi int) {
 			defer wg.Done()
-			ctx := &gbCtx{eng: e, ir: ir, vb: vb, adj: adj, adjW: adjW, auxBatch: auxBatch, inSources: inSources}
+			ctx := &gbCtx{eng: e, ir: ir, vb: vb, adj: adj, adjW: adjW, auxBatch: auxBatch, inSources: inSources,
+				sends: ir.sends.Worker(w)}
 			var msgBuf []vc.Msg
 			for i := lo; i < hi; i++ {
 				v := verts[i]
@@ -433,20 +436,16 @@ func (e *Engine) processInterval(ir *ivRun) error {
 				ctx.vertex = v
 				ctx.haltedFlag = &halted[i]
 				ir.prog.Process(ctx, msgBuf)
-				if ctx.err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = ctx.err
-					}
-					errMu.Unlock()
-					return
-				}
 			}
-		}(lo, hi)
+		}(w, lo, hi)
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return firstErr
+	for _, staged := range ir.sends.Staged() {
+		for _, r := range staged {
+			if err := ir.appendLog(r); err != nil {
+				return err
+			}
+		}
 	}
 
 	for i, v := range verts {
@@ -471,10 +470,10 @@ type gbCtx struct {
 	adjW      map[uint32][]uint32 // nil for unweighted graphs
 	auxBatch  *csr.AuxBatch
 	inSources map[uint32][]uint32
+	sends     *[]extsort.Record
 
 	vertex     uint32
 	haltedFlag *bool
-	err        error
 }
 
 func (c *gbCtx) Superstep() int      { return c.ir.step }
@@ -491,9 +490,7 @@ func (c *gbCtx) OutWeights() []uint32 {
 	return c.adjW[c.vertex]
 }
 func (c *gbCtx) Send(dst, data uint32) {
-	if err := c.ir.appendLog(dst, c.vertex, data); err != nil && c.err == nil {
-		c.err = err
-	}
+	*c.sends = append(*c.sends, extsort.Record{Dst: dst, Src: c.vertex, Data: data})
 }
 func (c *gbCtx) InEdgeSources() []uint32 { return c.inSources[c.vertex] }
 func (c *gbCtx) Aux() []uint32 {

@@ -16,9 +16,10 @@ import (
 // Continuous-benchmarking snapshots: a fixed suite of engine runs distilled
 // into a schema-versioned JSON file (BENCH_<size>.json). CI regenerates a
 // fresh snapshot on every push and diffs it against the committed baseline:
-// deterministic counter increases (page counts, supersteps, spills) fail the
-// build, wall-clock drift only warns — the virtual storage clock makes page
-// and device-time accounting reproducible in a way host timing never is.
+// deterministic counter increases (page counts, virtual device time,
+// supersteps, spills) fail the build, wall-clock drift only warns — the
+// virtual storage clock makes page and device-time accounting reproducible
+// in a way host timing never is.
 
 // SnapshotSchemaVersion identifies the snapshot layout. Bump it when a
 // field changes meaning; Compare refuses to diff across versions.
@@ -34,11 +35,12 @@ type StageSnap struct {
 }
 
 // SnapEntry is one benchmark run's distilled result. Entries are keyed by
-// (Engine, App, Graph, CacheMB). Deterministic marks entries whose page
-// and superstep counters must be bit-identical between runs of the same
-// binary — uncached runs qualify (fixed-size log records make page counts
-// a pure function of the message flow); cached runs do not (prefetch
-// timing shifts hit/miss splits).
+// (Engine, App, Graph, CacheMB). Deterministic marks entries whose page,
+// virtual-time and superstep counters must be bit-identical between runs
+// of the same binary — uncached runs qualify (the message plane replays
+// sends in vertex order, so page counts and device time are a pure
+// function of the input); cached runs do not (prefetch timing shifts
+// hit/miss splits).
 type SnapEntry struct {
 	Engine        string      `json:"engine"`
 	App           string      `json:"app"`
@@ -267,11 +269,10 @@ func pctDrift(base, fresh int64) float64 {
 }
 
 // Compare diffs a fresh snapshot against the committed baseline. On
-// deterministic entries any page-count, superstep, spill, or retry
-// increase — total or per-stage — is a regression; decreases warn that
-// the baseline is stale. Virtual device time on deterministic entries
-// warns on drift (it folds in batch shapes that worker scheduling can
-// perturb). Wall time always warns only.
+// deterministic entries any page-count, virtual-device-time, superstep,
+// spill, or retry increase — total or per-stage — is a regression;
+// decreases warn that the baseline is stale. Nondeterministic entries
+// warn on drift beyond tolerance. Wall time always warns only.
 func Compare(base, fresh *Snapshot, opts DiffOptions) *DiffResult {
 	opts = opts.withDefaults()
 	d := &DiffResult{}
@@ -335,15 +336,32 @@ func compareEntry(d *DiffResult, b, f SnapEntry, opts DiffOptions) {
 	}
 	counter("pages_read", b.PagesRead, f.PagesRead)
 	counter("pages_written", b.PagesWritten, f.PagesWritten)
+	// Virtual device time is a function of the IO sequence alone, which
+	// the single-writer message plane makes independent of scheduling:
+	// gated on deterministic entries like the page counters. On other
+	// entries only the total warns on drift; stage times there move with
+	// prefetch timing, and the page floor does not apply to nanoseconds.
+	if b.Deterministic {
+		counter("storage_ns", uint64(b.StorageNS), uint64(f.StorageNS))
+	} else if drift := pctDrift(b.StorageNS, f.StorageNS); drift > opts.PageTolPct || drift < -opts.PageTolPct {
+		warn("storage time drifted %+.1f%% (%s -> %s, nondeterministic entry)", drift,
+			time.Duration(b.StorageNS), time.Duration(f.StorageNS))
+	}
 	counter("spills", b.Spills, f.Spills)
 	counter("retries", b.Retries, f.Retries)
 	if b.Deterministic && f.Supersteps != b.Supersteps {
 		regress("superstep count changed %d -> %d", b.Supersteps, f.Supersteps)
 	}
 
-	// Per-stage page counts: an increase in any stage is a regression even
-	// when the totals balance out — attribution moving between stages is a
-	// behavior change the baseline should record deliberately.
+	// Per-stage page counts and (deterministic entries only) virtual time:
+	// an increase in any stage is a regression even when the totals
+	// balance out — attribution moving between stages is a behavior change
+	// the baseline should record deliberately.
+	stageTime := func(name string, base, fresh int64) {
+		if b.Deterministic {
+			counter(name, uint64(base), uint64(fresh))
+		}
+	}
 	baseStages := make(map[string]StageSnap, len(b.Stages))
 	for _, st := range b.Stages {
 		baseStages[st.Stage] = st
@@ -352,6 +370,7 @@ func compareEntry(d *DiffResult, b, f SnapEntry, opts DiffOptions) {
 		bs := baseStages[fs.Stage]
 		counter("stage["+fs.Stage+"].pages_read", bs.PagesRead, fs.PagesRead)
 		counter("stage["+fs.Stage+"].pages_written", bs.PagesWritten, fs.PagesWritten)
+		stageTime("stage["+fs.Stage+"].time_ns", bs.TimeNS, fs.TimeNS)
 	}
 	for _, bs := range b.Stages {
 		found := false
@@ -364,15 +383,10 @@ func compareEntry(d *DiffResult, b, f SnapEntry, opts DiffOptions) {
 		if !found && (bs.PagesRead > 0 || bs.PagesWritten > 0) {
 			counter("stage["+bs.Stage+"].pages_read", bs.PagesRead, 0)
 			counter("stage["+bs.Stage+"].pages_written", bs.PagesWritten, 0)
+			stageTime("stage["+bs.Stage+"].time_ns", bs.TimeNS, 0)
 		}
 	}
 
-	// Virtual device time: reproducible in principle, but batch shapes can
-	// shift with worker scheduling — warn-level until proven stable.
-	if drift := pctDrift(b.StorageNS, f.StorageNS); drift > opts.PageTolPct || drift < -opts.PageTolPct {
-		warn("storage time drifted %+.1f%% (%s -> %s)", drift,
-			time.Duration(b.StorageNS), time.Duration(f.StorageNS))
-	}
 	if drift := pctDrift(b.WallNS, f.WallNS); drift > opts.WallTolPct || drift < -opts.WallTolPct {
 		warn("wall time drifted %+.1f%% (%s -> %s)", drift,
 			time.Duration(b.WallNS), time.Duration(f.WallNS))

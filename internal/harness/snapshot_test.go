@@ -203,3 +203,77 @@ func TestCompareGateFires(t *testing.T) {
 		t.Fatal("gate did not fire on schema version mismatch")
 	}
 }
+
+// TestCompareGatesStorageTime: virtual device time on a deterministic
+// entry is gated like a page counter — an increase, total or in one
+// stage, fails; a decrease warns that the baseline is stale. On a
+// nondeterministic entry only the total warns beyond tolerance; its stage
+// times are not compared.
+func TestCompareGatesStorageTime(t *testing.T) {
+	base := &Snapshot{
+		SchemaVersion: SnapshotSchemaVersion,
+		Size:          "small",
+		Entries: []SnapEntry{
+			{Engine: "multilogvc", App: "pagerank", Graph: "cf-mini", Deterministic: true,
+				PagesRead: 1000, StorageNS: 5e8,
+				Stages: []StageSnap{
+					{Stage: "vertex", PagesRead: 700, TimeNS: 3e8},
+					{Stage: "sortgroup", PagesRead: 300, TimeNS: 2e8},
+				}},
+			{Engine: "multilogvc", App: "pagerank", Graph: "cf-mini", CacheMB: 8,
+				PagesRead: 800, StorageNS: 4e8,
+				Stages: []StageSnap{
+					{Stage: "vertex", PagesRead: 500, TimeNS: 2.5e8},
+					{Stage: "sortgroup", PagesRead: 300, TimeNS: 1.5e8},
+				}},
+		},
+	}
+	with := func(edit func(s *Snapshot)) *Snapshot {
+		cp := *base
+		cp.Entries = append([]SnapEntry(nil), base.Entries...)
+		for i := range cp.Entries {
+			cp.Entries[i].Stages = append([]StageSnap(nil), base.Entries[i].Stages...)
+		}
+		edit(&cp)
+		return &cp
+	}
+	joined := func(lines []string) string { return strings.Join(lines, "\n") }
+
+	d := Compare(base, with(func(s *Snapshot) { s.Entries[0].StorageNS += 10000 }), DiffOptions{})
+	if d.OK() || !strings.Contains(joined(d.Regressions), "storage_ns increased") {
+		t.Fatalf("total storage time up by 10µs: regressions %v", d.Regressions)
+	}
+
+	// Time moved between stages with the total unchanged: still a regression.
+	d = Compare(base, with(func(s *Snapshot) {
+		s.Entries[0].Stages[0].TimeNS += 1e6
+		s.Entries[0].Stages[1].TimeNS -= 1e6
+	}), DiffOptions{})
+	if d.OK() || !strings.Contains(joined(d.Regressions), "stage[vertex].time_ns increased") {
+		t.Fatalf("stage time up: regressions %v", d.Regressions)
+	}
+
+	d = Compare(base, with(func(s *Snapshot) {
+		s.Entries[0].StorageNS -= 1e6
+		s.Entries[0].Stages[1].TimeNS -= 1e6
+	}), DiffOptions{})
+	if !d.OK() || !strings.Contains(joined(d.Warnings), "storage_ns decreased") {
+		t.Fatalf("storage time down should warn stale baseline only: %+v", d)
+	}
+
+	d = Compare(base, with(func(s *Snapshot) { s.Entries[1].StorageNS += 2e7 }), DiffOptions{}) // +5%
+	if !d.OK() || len(d.Warnings) != 0 {
+		t.Fatalf("nondeterministic drift within tolerance not silent: %+v", d)
+	}
+	d = Compare(base, with(func(s *Snapshot) { s.Entries[1].StorageNS += 2e8 }), DiffOptions{}) // +50%
+	if !d.OK() || !strings.Contains(joined(d.Warnings), "storage time drifted") {
+		t.Fatalf("nondeterministic drift beyond tolerance should warn only: %+v", d)
+	}
+	d = Compare(base, with(func(s *Snapshot) {
+		s.Entries[1].Stages[0].TimeNS += 1e8 // +40% and -67% in the stages,
+		s.Entries[1].Stages[1].TimeNS -= 1e8 // total unchanged
+	}), DiffOptions{})
+	if !d.OK() || len(d.Warnings) != 0 {
+		t.Fatalf("nondeterministic stage time shift not silent: %+v", d)
+	}
+}

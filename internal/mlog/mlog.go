@@ -9,6 +9,15 @@
 // superstep — the property that lets MultiLogVC sort in memory and avoid
 // GraFBoost's external sort.
 //
+// A log has a single writer. Vertex workers never append directly: each
+// stages its sends as Updates in its own buffer, and the engine goroutine
+// replays the buffers in worker order (Replay) once per processing round,
+// bounded by the log's buffer budget. Workers own contiguous, ascending
+// vertex chunks, so the replay appends in global sender order and every
+// log — its record order, its page boundaries and the points at which
+// full pages are evicted — is a function of the input alone, identical
+// at any worker count or GOMAXPROCS.
+//
 // The engine owns two Logs (current and next generation) and swaps them at
 // superstep boundaries, mirroring the double-buffered message flow of BSP.
 package mlog
@@ -30,9 +39,20 @@ const RecordBytes = 12
 // the asynchronous computation model (§V-F) needs.
 const pageHeader = 4
 
+// Update is one staged send: the record <Dst, Src, Data> bound for
+// interval Iv's log.
+type Update struct {
+	Dst, Src, Data uint32
+	Iv             int32
+}
+
 // Log is one generation of the multi-log: one append-only log file per
-// vertex interval. Appends are safe for concurrent use (per-interval
-// locking); FlushAll, Read, and ResetAll are not concurrent with appends.
+// vertex interval. One mutex guards its state. The writer takes it once
+// per Replay (dropping it around evictions, which write to the device);
+// the other users are the device's space-reclamation hook
+// (ReclaimConsumed, which may run on another engine's goroutine when
+// runs share a device) and the prefetch planner (FilePages). FlushAll,
+// Read and ResetAll are not concurrent with appends.
 type Log struct {
 	dev       *ssd.Device
 	prefix    string
@@ -40,25 +60,19 @@ type Log struct {
 	recPerPag int
 	budget    int64 // multi-log memory buffer size (paper's A%)
 
-	mu    []sync.Mutex // one per interval
-	files []*ssd.File  // created lazily
-	top   [][]byte     // top (partial) page per interval
-	fill  []int        // bytes used in top page
-	full  [][][]byte   // completed pages awaiting eviction
-	count []uint64     // records per interval
-
-	evictMu  sync.Mutex
+	mu       sync.Mutex
+	files    []*ssd.File // created lazily
+	top      [][]byte    // top (partial) page per interval
+	fill     []int       // bytes used in top page
+	full     [][][]byte  // completed pages awaiting eviction
+	count    []uint64    // records per interval
+	total    uint64
 	buffered int64 // bytes held in completed (evictable) pages
-
-	totalMu sync.Mutex
-	total   uint64
-
 	// consumed marks intervals whose records were fully processed this
 	// superstep; ReclaimConsumed (the device's space-reclamation hook)
 	// truncates their logs early instead of waiting for the generation
-	// swap. Guarded by consumedMu, never by the per-interval locks.
-	consumedMu sync.Mutex
-	consumed   []bool
+	// swap.
+	consumed []bool
 
 	scope *ssd.IOScope // nil = device-global attribution
 	tr    *obsv.Trace  // nil = tracing disabled
@@ -112,7 +126,6 @@ func New(dev *ssd.Device, prefix string, numIntervals int, budget int64) (*Log, 
 		pageSize:  ps,
 		recPerPag: (ps - pageHeader) / RecordBytes,
 		budget:    budget,
-		mu:        make([]sync.Mutex, numIntervals),
 		files:     make([]*ssd.File, numIntervals),
 		top:       make([][]byte, numIntervals),
 		fill:      make([]int, numIntervals),
@@ -127,11 +140,71 @@ func New(dev *ssd.Device, prefix string, numIntervals int, budget int64) (*Log, 
 }
 
 // NumIntervals returns the number of interval logs.
-func (l *Log) NumIntervals() int { return len(l.mu) }
+func (l *Log) NumIntervals() int { return len(l.files) }
 
-// Append logs the update <dst, src, data> to interval's log.
+// Budget returns the in-memory buffer budget in bytes, after the
+// one-page-per-interval floor. The engine bounds a processing round's
+// staged sends by it, so staging never holds much more than the log's own
+// buffers.
+func (l *Log) Budget() int64 { return l.budget }
+
+// Append logs the update <dst, src, data> to interval's log. It is the
+// single-record form of Replay (checkpoint restore uses it) and is safe
+// for concurrent use.
 func (l *Log) Append(interval int, dst, src, data uint32) error {
-	l.mu[interval].Lock()
+	l.mu.Lock()
+	over := l.put(interval, dst, src, data)
+	l.mu.Unlock()
+	if over {
+		return l.evictFull()
+	}
+	return nil
+}
+
+// Replay appends staged updates in order to next — except the forward
+// sends of the asynchronous model (§V-F), those bound for intervals at or
+// above fwdFrom, which go to the current generation cur. Synchronous runs
+// pass cur nil and fwdFrom math.MaxInt32. Each log's mutex is taken once
+// for the whole replay and dropped only around an eviction, which fires at
+// exactly the record at which a record-by-record append would fire it — so
+// device IO, too, is the same as a single-threaded run's.
+func Replay(next, cur *Log, fwdFrom int32, staged ...[]Update) error {
+	lock := func() {
+		next.mu.Lock()
+		if cur != nil && cur != next {
+			cur.mu.Lock()
+		}
+	}
+	unlock := func() {
+		if cur != nil && cur != next {
+			cur.mu.Unlock()
+		}
+		next.mu.Unlock()
+	}
+	lock()
+	for _, ups := range staged {
+		for _, u := range ups {
+			l := next
+			if u.Iv >= fwdFrom {
+				l = cur
+			}
+			if l.put(int(u.Iv), u.Dst, u.Src, u.Data) {
+				unlock()
+				if err := l.evictFull(); err != nil {
+					return err
+				}
+				lock()
+			}
+		}
+	}
+	unlock()
+	return nil
+}
+
+// put appends one record to interval's top page, sealing the page when it
+// fills, and reports whether completed pages now exceed the budget. The
+// caller holds mu.
+func (l *Log) put(interval int, dst, src, data uint32) bool {
 	if l.top[interval] == nil {
 		l.top[interval] = make([]byte, l.pageSize)
 		l.fill[interval] = pageHeader
@@ -141,71 +214,64 @@ func (l *Log) Append(interval int, dst, src, data uint32) error {
 	binary.LittleEndian.PutUint32(page[off:], dst)
 	binary.LittleEndian.PutUint32(page[off+4:], src)
 	binary.LittleEndian.PutUint32(page[off+8:], data)
-	l.fill[interval] = off + RecordBytes
+	off += RecordBytes
+	l.fill[interval] = off
 	l.count[interval]++
-	var completed bool
-	if l.fill[interval]+RecordBytes > l.pageSize {
-		sealPage(page, l.fill[interval])
-		l.full[interval] = append(l.full[interval], page)
-		l.top[interval] = nil
-		l.fill[interval] = 0
-		completed = true
-	}
-	l.mu[interval].Unlock()
-
-	l.totalMu.Lock()
 	l.total++
-	l.totalMu.Unlock()
-
-	if completed {
-		l.evictMu.Lock()
-		l.buffered += int64(l.pageSize)
-		over := l.buffered > l.budget
-		l.evictMu.Unlock()
-		if over {
-			return l.evictFull()
-		}
+	if off+RecordBytes <= l.pageSize {
+		return false
 	}
-	return nil
+	sealPage(page, off)
+	l.full[interval] = append(l.full[interval], page)
+	l.top[interval] = nil
+	l.fill[interval] = 0
+	l.buffered += int64(l.pageSize)
+	return l.buffered > l.budget
 }
 
 // evictFull writes every completed page to its interval's file, batching
-// the pages of each interval into a single device write.
+// the pages of each interval into a single device write. The device writes
+// run without mu held: a write that hits the disk quota runs the device's
+// reclaim hooks, which may call ReclaimConsumed on this log.
 func (l *Log) evictFull() error {
-	// Tid 2 keeps log-unit spans off the engine's stage timeline: evictions
-	// triggered by concurrent Appends may overlap each other and would
-	// break the engine track's strict nesting.
+	// Tid 2 keeps log-unit spans off the engine's stage timeline.
 	sp := l.tr.BeginTid("mlog", "evict", 2)
 	defer sp.End()
-	for iv := range l.mu {
-		l.mu[iv].Lock()
-		pages := l.full[iv]
+	l.mu.Lock()
+	batches := make([][][]byte, len(l.full))
+	for iv, pages := range l.full {
+		batches[iv] = pages
 		l.full[iv] = nil
-		l.mu[iv].Unlock()
+		l.buffered -= int64(len(pages) * l.pageSize)
+	}
+	l.mu.Unlock()
+	for iv, pages := range batches {
 		if len(pages) == 0 {
 			continue
 		}
-		f, err := l.file(iv)
-		if err != nil {
+		if err := l.writePages(iv, pages); err != nil {
 			return err
 		}
-		buf := make([]byte, 0, len(pages)*l.pageSize)
-		for _, p := range pages {
-			buf = append(buf, p...)
-		}
-		if err := f.AppendPages(buf); err != nil {
-			return err
-		}
-		l.evictMu.Lock()
-		l.buffered -= int64(len(pages) * l.pageSize)
-		l.evictMu.Unlock()
 	}
 	return nil
 }
 
+// writePages appends pages to interval iv's file in one device write.
+func (l *Log) writePages(iv int, pages [][]byte) error {
+	f, err := l.file(iv)
+	if err != nil {
+		return err
+	}
+	buf := make([]byte, 0, len(pages)*l.pageSize)
+	for _, p := range pages {
+		buf = append(buf, p...)
+	}
+	return f.AppendPages(buf)
+}
+
 func (l *Log) file(iv int) (*ssd.File, error) {
-	l.mu[iv].Lock()
-	defer l.mu[iv].Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.files[iv] == nil {
 		f, err := l.dev.OpenOrCreate(fmt.Sprintf("%s.%d", l.prefix, iv))
 		if err != nil {
@@ -234,7 +300,7 @@ func (l *Log) FlushAll() error {
 	if err := l.evictFull(); err != nil {
 		return err
 	}
-	for iv := range l.mu {
+	for iv := range l.files {
 		if err := l.FlushInterval(iv); err != nil {
 			return err
 		}
@@ -246,38 +312,25 @@ func (l *Log) FlushAll() error {
 // so that interval's log is readable. The asynchronous engine flushes
 // single intervals mid-superstep.
 func (l *Log) FlushInterval(iv int) error {
-	l.mu[iv].Lock()
-	fullPages := l.full[iv]
+	l.mu.Lock()
+	pages := l.full[iv]
 	l.full[iv] = nil
-	page := l.top[iv]
-	fill := l.fill[iv]
+	l.buffered -= int64(len(pages) * l.pageSize)
+	page, fill := l.top[iv], l.fill[iv]
 	l.top[iv] = nil
 	l.fill[iv] = 0
-	l.mu[iv].Unlock()
-	if len(fullPages) > 0 {
-		l.evictMu.Lock()
-		l.buffered -= int64(len(fullPages) * l.pageSize)
-		l.evictMu.Unlock()
-	}
+	l.mu.Unlock()
 	if page != nil && fill > pageHeader {
 		for i := fill; i < l.pageSize; i++ {
 			page[i] = 0
 		}
 		sealPage(page, fill)
-		fullPages = append(fullPages, page)
+		pages = append(pages, page)
 	}
-	if len(fullPages) == 0 {
+	if len(pages) == 0 {
 		return nil
 	}
-	buf := make([]byte, 0, len(fullPages)*l.pageSize)
-	for _, p := range fullPages {
-		buf = append(buf, p...)
-	}
-	f, err := l.file(iv)
-	if err != nil {
-		return err
-	}
-	return f.AppendPages(buf)
+	return l.writePages(iv, pages)
 }
 
 // sealPage records the page's byte fill in its header.
@@ -289,15 +342,15 @@ func sealPage(page []byte, fill int) {
 // generation — the counter the runtime uses to estimate log sizes for
 // interval fusing (§V-A2).
 func (l *Log) Count(interval int) uint64 {
-	l.mu[interval].Lock()
-	defer l.mu[interval].Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	return l.count[interval]
 }
 
 // Total returns the number of records logged across all intervals.
 func (l *Log) Total() uint64 {
-	l.totalMu.Lock()
-	defer l.totalMu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	return l.total
 }
 
@@ -310,10 +363,10 @@ func (l *Log) Read(interval int, fn func(dst, src, data uint32)) error {
 	if err := l.FlushInterval(interval); err != nil {
 		return err
 	}
-	l.mu[interval].Lock()
+	l.mu.Lock()
 	n := l.count[interval]
 	f := l.files[interval]
-	l.mu[interval].Unlock()
+	l.mu.Unlock()
 	if n == 0 || f == nil {
 		return nil
 	}
@@ -369,9 +422,9 @@ func decodePage(page []byte, remaining uint64, fn func(dst, src, data uint32)) (
 // in-memory buffers need no warming. Returns (nil, nil) when the interval
 // has nothing on the device.
 func (l *Log) FilePages(iv int) (*ssd.File, []int) {
-	l.mu[iv].Lock()
+	l.mu.Lock()
 	f := l.files[iv]
-	l.mu[iv].Unlock()
+	l.mu.Unlock()
 	if f == nil {
 		return nil, nil
 	}
@@ -391,13 +444,11 @@ func (l *Log) FilePages(iv int) (*ssd.File, []int) {
 // re-read from this generation (the next read happens after ResetAll).
 // ReclaimConsumed may truncate their logs to free device space.
 func (l *Log) MarkConsumed(first, last int) {
-	l.consumedMu.Lock()
-	for iv := first; iv <= last && iv < len(l.consumed); iv++ {
-		if iv >= 0 {
-			l.consumed[iv] = true
-		}
+	l.mu.Lock()
+	for iv := max(first, 0); iv <= last && iv < len(l.consumed); iv++ {
+		l.consumed[iv] = true
 	}
-	l.consumedMu.Unlock()
+	l.mu.Unlock()
 }
 
 // ReclaimConsumed truncates the log files of every consumed interval and
@@ -408,36 +459,23 @@ func (l *Log) MarkConsumed(first, last int) {
 // concurrently with Read or Flush of the same intervals; the engine only
 // marks intervals consumed after it is done reading them.
 func (l *Log) ReclaimConsumed() error {
-	l.consumedMu.Lock()
-	var ivs []int
+	var files []*ssd.File
+	l.mu.Lock()
 	for iv, c := range l.consumed {
-		if c {
-			ivs = append(ivs, iv)
-			l.consumed[iv] = false
+		if !c {
+			continue
+		}
+		l.consumed[iv] = false
+		l.buffered -= int64(len(l.full[iv]) * l.pageSize)
+		l.total -= l.count[iv]
+		l.top[iv], l.fill[iv], l.full[iv], l.count[iv] = nil, 0, nil, 0
+		if f := l.files[iv]; f != nil {
+			files = append(files, f)
 		}
 	}
-	l.consumedMu.Unlock()
-	for _, iv := range ivs {
-		l.mu[iv].Lock()
-		dropped := len(l.full[iv])
-		n := l.count[iv]
-		l.top[iv] = nil
-		l.fill[iv] = 0
-		l.full[iv] = nil
-		l.count[iv] = 0
-		f := l.files[iv]
-		l.mu[iv].Unlock()
-		if dropped > 0 {
-			l.evictMu.Lock()
-			l.buffered -= int64(dropped * l.pageSize)
-			l.evictMu.Unlock()
-		}
-		if n > 0 {
-			l.totalMu.Lock()
-			l.total -= n
-			l.totalMu.Unlock()
-		}
-		if f != nil && f.NumPages() > 0 {
+	l.mu.Unlock()
+	for _, f := range files {
+		if f.NumPages() > 0 {
 			if err := f.Truncate(); err != nil {
 				return err
 			}
@@ -449,30 +487,20 @@ func (l *Log) ReclaimConsumed() error {
 // ResetAll truncates every interval log and zeroes the counters, readying
 // the generation for reuse.
 func (l *Log) ResetAll() error {
-	l.consumedMu.Lock()
-	for iv := range l.consumed {
+	l.mu.Lock()
+	for iv := range l.files {
+		l.top[iv], l.fill[iv], l.full[iv], l.count[iv] = nil, 0, nil, 0
 		l.consumed[iv] = false
 	}
-	l.consumedMu.Unlock()
-	for iv := range l.mu {
-		l.mu[iv].Lock()
-		l.top[iv] = nil
-		l.fill[iv] = 0
-		l.full[iv] = nil
-		l.count[iv] = 0
-		f := l.files[iv]
-		l.mu[iv].Unlock()
+	l.total, l.buffered = 0, 0
+	files := append([]*ssd.File(nil), l.files...)
+	l.mu.Unlock()
+	for _, f := range files {
 		if f != nil {
 			if err := f.Truncate(); err != nil {
 				return err
 			}
 		}
 	}
-	l.evictMu.Lock()
-	l.buffered = 0
-	l.evictMu.Unlock()
-	l.totalMu.Lock()
-	l.total = 0
-	l.totalMu.Unlock()
 	return nil
 }

@@ -1,8 +1,10 @@
 // Package sortgroup implements the sort-and-group unit of §V-B: it loads
 // the update log of a vertex interval from the device, fuses the logs of
-// consecutive intervals while they fit the sort budget (§V-A2), sorts the
-// records in memory by destination vertex, and serves per-vertex message
-// groups to the engine.
+// consecutive intervals while they fit the sort budget (§V-A2), groups the
+// records in memory by destination vertex with a stable counting sort over
+// the batch's contiguous vertex range, and serves per-vertex message
+// groups to the engine. The sort is stable, so each vertex receives its
+// messages in log order — the order they were sent in.
 //
 // The paper sizes intervals so one interval's worst-case log fits the sort
 // budget, but at runtime a log can exceed that build-time bound (random
@@ -12,7 +14,8 @@
 // internal/extsort's k-way merge: the log is cut into budget-sized sorted
 // runs on the device and served back as destination-aligned chunks, each
 // within the budget. Results are identical to the in-memory path — every
-// record is delivered to its destination exactly once.
+// record is delivered to its destination exactly once, and in the same
+// per-vertex order.
 package sortgroup
 
 import (
@@ -28,9 +31,7 @@ import (
 )
 
 // Rec is one update record read back from a log.
-type Rec struct {
-	Dst, Src, Data uint32
-}
+type Rec = extsort.Record
 
 // Batch is the sorted, grouped update set of one or more fused intervals.
 // A spilled batch (Spilled true) serves one budget-sized chunk at a time:
@@ -42,8 +43,9 @@ type Batch struct {
 	// Lo and Hi delimit the vertex range [Lo, Hi) covered by the current
 	// chunk (the whole fused range for in-memory batches).
 	Lo, Hi uint32
-	// Recs are the updates sorted by destination — the current chunk of a
-	// spilled batch, or everything for an in-memory one.
+	// Recs are the updates sorted by destination, in log order within a
+	// destination — the current chunk of a spilled batch, or everything
+	// for an in-memory one.
 	Recs []Rec
 	// Spilled reports that the interval's log exceeded the sort budget and
 	// is being served through the external sort-group.
@@ -87,10 +89,12 @@ func LoadFused(log *mlog.Log, ivs []csr.Interval, startIv int, sortBudget int64)
 
 // Load loads the log of interval startIv and keeps fusing the following
 // intervals' logs while the estimated total record volume stays within the
-// sort budget (always at least one interval). Records are sorted by
-// destination. The per-interval record counters provide the first-order
-// size estimate, as in the paper. When startIv's log alone exceeds the
-// budget, the batch is served through the spill path (see Batch).
+// sort budget (always at least one interval). Records are stably sorted by
+// destination with extsort.SortByDst over the batch's vertex range; a
+// record outside that range fails the load with extsort.ErrOutOfRange.
+// The per-interval record counters provide the first-order size estimate,
+// as in the paper. When startIv's log alone exceeds the budget, the batch
+// is served through the spill path (see Batch).
 func Load(log *mlog.Log, ivs []csr.Interval, startIv int, opts Options) (*Batch, error) {
 	budget := opts.SortBudget
 	total := int64(log.Count(startIv)) * mlog.RecordBytes
@@ -116,22 +120,29 @@ func Load(log *mlog.Log, ivs []csr.Interval, startIv int, opts Options) (*Batch,
 		LastIv:  last,
 		Lo:      ivs[startIv].Lo,
 		Hi:      ivs[last].Hi,
-		Recs:    make([]Rec, 0, total/mlog.RecordBytes),
 	}
+	// Scratch is allocated per load, not retained across loads: a retained
+	// buffer stays live across collections and raises the heap high-water
+	// mark for no CPU gain.
+	recs := make([]Rec, 0, total/mlog.RecordBytes)
 	tag := log.Tagger()
 	for iv := startIv; iv <= last; iv++ {
 		// Tag per fused interval so interval-level IO skew attributes log
 		// read-back to the interval that produced it.
 		prevS, prevIv := tag.SetStage(obsv.StageSortGroup, iv)
 		err := log.Read(iv, func(dst, src, data uint32) {
-			b.Recs = append(b.Recs, Rec{Dst: dst, Src: src, Data: data})
+			recs = append(recs, Rec{Dst: dst, Src: src, Data: data})
 		})
 		tag.SetStage(prevS, prevIv)
 		if err != nil {
 			return nil, err
 		}
 	}
-	sort.Slice(b.Recs, func(i, j int) bool { return b.Recs[i].Dst < b.Recs[j].Dst })
+	sorted, err := extsort.SortByDst(recs, b.Lo, b.Hi)
+	if err != nil {
+		return nil, fmt.Errorf("sortgroup: intervals %d-%d: %w", startIv, last, err)
+	}
+	b.Recs = sorted
 	return b, nil
 }
 
@@ -145,7 +156,7 @@ func loadSpilled(log *mlog.Log, iv csr.Interval, ivIdx int, budget int64) (*Batc
 		budgetRecs = 1
 	}
 	tag := log.Tagger()
-	runs := extsort.NewRuns(log.Device(), fmt.Sprintf("%s.%d.spill", log.Prefix(), ivIdx), nil)
+	runs := extsort.NewRuns(log.Device(), fmt.Sprintf("%s.%d.spill", log.Prefix(), ivIdx), iv.Lo, iv.Hi, nil)
 	runs.SetScope(log.Scope())
 	buf := make([]extsort.Record, 0, budgetRecs)
 	var flushErr error
@@ -225,7 +236,7 @@ func (b *Batch) fillChunk() error {
 		return nil
 	}
 	for {
-		b.Recs = append(b.Recs, Rec{Dst: s.next.Dst, Src: s.next.Src, Data: s.next.Data})
+		b.Recs = append(b.Recs, s.next)
 		r, ok, err := s.m.Next()
 		if err != nil {
 			return err
@@ -272,20 +283,6 @@ func (b *Batch) Close() {
 		b.spill.m.Close()
 		b.spill = nil
 	}
-}
-
-// ActiveVertices returns the distinct destinations in the batch, ascending
-// — the paper's ExtractActiveVert.
-func (b *Batch) ActiveVertices() []uint32 {
-	var verts []uint32
-	for i := 0; i < len(b.Recs); {
-		dst := b.Recs[i].Dst
-		verts = append(verts, dst)
-		for i < len(b.Recs) && b.Recs[i].Dst == dst {
-			i++
-		}
-	}
-	return verts
 }
 
 // MsgsFor returns the messages bound for vertex v, optionally reduced by a

@@ -1,10 +1,12 @@
 package sortgroup
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"multilogvc/internal/csr"
+	"multilogvc/internal/extsort"
 	"multilogvc/internal/mlog"
 	"multilogvc/internal/ssd"
 	"multilogvc/internal/vc"
@@ -86,25 +88,6 @@ func TestLoadFusedPartial(t *testing.T) {
 	}
 	if b.FirstIv != 0 || b.LastIv != 1 {
 		t.Fatalf("fused [%d,%d], want [0,1]", b.FirstIv, b.LastIv)
-	}
-}
-
-func TestActiveVertices(t *testing.T) {
-	l, ivs := fixture(t)
-	for _, dst := range []uint32{5, 3, 5, 3, 7, 5} {
-		l.Append(0, dst, 0, 0)
-	}
-	l.FlushAll()
-	b, _ := LoadFused(l, ivs, 0, 1<<20)
-	got := b.ActiveVertices()
-	want := []uint32{3, 5, 7}
-	if len(got) != len(want) {
-		t.Fatalf("active = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("active = %v, want %v", got, want)
-		}
 	}
 }
 
@@ -234,12 +217,24 @@ func TestGrouperEmptyBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if verts := b.ActiveVertices(); len(verts) != 0 {
-		t.Fatalf("active = %v", verts)
+	if len(b.Recs) != 0 {
+		t.Fatalf("recs = %v", b.Recs)
 	}
 	g := NewGrouper(b, nil)
 	if _, _, ok := g.Next(); ok {
 		t.Fatal("Next on empty batch returned a group")
 	}
 	g.SkipTo(100) // must not panic
+}
+
+// A record outside its interval's vertex range is corrupt log content:
+// Load reports it as extsort.ErrOutOfRange rather than panicking.
+func TestLoadRejectsOutOfRangeRecord(t *testing.T) {
+	l, ivs := fixture(t)
+	l.Append(0, 3, 0, 0)
+	l.Append(0, 25, 0, 0) // interval 0 holds [0, 10)
+	l.FlushAll()
+	if _, err := Load(l, ivs, 0, Options{SortBudget: 1 << 20, NoFuse: true}); !errors.Is(err, extsort.ErrOutOfRange) {
+		t.Fatalf("err = %v, want extsort.ErrOutOfRange", err)
+	}
 }

@@ -302,3 +302,39 @@ func TestSpillCloseReleasesRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The spill path delivers each vertex's messages in log order, exactly
+// as the in-memory path does: the runs are stably sorted and the merge
+// breaks destination ties by run.
+func TestSpillPreservesSendOrder(t *testing.T) {
+	load := func(budget int64) []Rec {
+		l, ivs := wideFixture(t)
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 800; i++ {
+			l.Append(0, uint32(rng.Intn(40)), uint32(i), rng.Uint32())
+		}
+		l.FlushAll()
+		b, err := Load(l, ivs, 0, Options{SortBudget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		if b.Spilled != (budget < 1<<20) {
+			t.Fatalf("budget %d: spilled = %v", budget, b.Spilled)
+		}
+		all, _ := drainChunks(t, b, ivs[0])
+		return all
+	}
+	mem, sp := load(1<<20), load(30*mlog.RecordBytes)
+	if len(mem) != len(sp) {
+		t.Fatalf("spilled %d records, in-memory %d", len(sp), len(mem))
+	}
+	for i := range mem {
+		if i > 0 && mem[i].Dst == mem[i-1].Dst && mem[i].Src < mem[i-1].Src {
+			t.Fatalf("in-memory rec %d: dst %d out of send order", i, mem[i].Dst)
+		}
+		if sp[i] != mem[i] {
+			t.Fatalf("rec %d: spilled %+v, in-memory %+v", i, sp[i], mem[i])
+		}
+	}
+}
