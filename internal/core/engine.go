@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -492,6 +491,9 @@ func (e *Engine) runOnce(ctx context.Context, prog vc.Program, resume bool, roll
 		sortBudget = cfg.SortBudget
 	}
 	sortOpts := sortgroup.Options{SortBudget: sortBudget, NoFuse: cfg.DisableFusing}
+	// The run owns the sort-group's scratch: every batch's load reads and
+	// sorts into it, and it is dropped when the run returns.
+	sortScratch := new(sortgroup.Scratch)
 	tr := cfg.Trace
 	curLog, err := mlog.New(dev, base+".mlog.0", len(ivs), mlogBudget)
 	if err != nil {
@@ -560,6 +562,7 @@ func (e *Engine) runOnce(ctx context.Context, prog vc.Program, resume bool, roll
 
 	var sends sendstage.Buffers[mlog.Update]
 	var mutBufs sendstage.Buffers[vc.Mutation]
+	var msgBufs sendstage.Buffers[vc.Msg]
 	var cumProcessed uint64
 	converged := false
 	live := obsv.Live()
@@ -637,7 +640,7 @@ func (e *Engine) runOnce(ctx context.Context, prog vc.Program, resume bool, roll
 		for ivStart := 0; ivStart < len(ivs); {
 			loadSpan := tr.Begin("engine", "load+sort")
 			loadBefore := e.io.Stats()
-			batch, err := sortgroup.Load(curLog, ivs, ivStart, sortOpts)
+			batch, err := sortgroup.Load(curLog, ivs, ivStart, sortOpts, sortScratch)
 			if err != nil {
 				return nil, err
 			}
@@ -681,7 +684,7 @@ func (e *Engine) runOnce(ctx context.Context, prog vc.Program, resume bool, roll
 					values: values, batch: batch, carry: carry, step: step,
 					elog: elog, pred: pred, elogBudget: elogBudget,
 					nextLog: nextLog, curLog: curLog, ss: &ss,
-					muts: &stepMuts, sends: &sends, mutBufs: &mutBufs, lanes: lanes,
+					muts: &stepMuts, sends: &sends, mutBufs: &mutBufs, msgBufs: &msgBufs, lanes: lanes,
 				}); err != nil {
 					break
 				}
@@ -1132,16 +1135,19 @@ type batchRun struct {
 	curLog     *mlog.Log
 	ss         *metrics.SuperstepStats
 	muts       *[]vc.Mutation
-	// sends and mutBufs are the run's per-worker staging buffers, reused
-	// by every round.
+	// sends and mutBufs are the run's per-worker staging buffers, and
+	// msgBufs the workers' message scratch, all reused by every round.
 	sends   *sendstage.Buffers[mlog.Update]
 	mutBufs *sendstage.Buffers[vc.Mutation]
+	msgBufs *sendstage.Buffers[vc.Msg]
 	// lanes is the program's lane count: a lane-batched vertex may send
 	// along each out-edge once per lane.
 	lanes int
 }
 
 // adjEntry is one active vertex's adjacency, plus where it came from.
+// processBatch keeps one per active vertex, parallel to the batch's
+// vertices; the lists alias the arenas of the loads that decoded them.
 type adjEntry struct {
 	nbrs      []uint32
 	weights   []uint32 // nil for unweighted graphs
@@ -1184,29 +1190,32 @@ func (e *Engine) processBatch(br *batchRun) error {
 	}
 	valSpan.End()
 
-	// Split adjacency sources: edge log vs CSR, then load both.
+	// Split adjacency sources: edge log vs CSR, then load both. Each load
+	// visits its vertices in ascending order, a subsequence of verts, so
+	// entry binds each visit to its slot by advancing a cursor.
 	adjSpan := tr.Begin("engine", "load-adjacency")
-	adj := make(map[uint32]*adjEntry, len(verts))
+	adj := make([]adjEntry, len(verts))
+	cursor := 0
+	entry := func(v uint32) *adjEntry {
+		for verts[cursor] != v {
+			cursor++
+		}
+		cursor++
+		return &adj[cursor-1]
+	}
 	var fromLog []uint32
-	perIv := make(map[int][]uint32)
-	for _, v := range verts {
-		if br.elog != nil && br.elog.Has(v) {
-			fromLog = append(fromLog, v)
-		} else {
-			iv := e.g.IntervalOf(v)
-			perIv[iv] = append(perIv[iv], v)
+	if br.elog != nil {
+		for i, v := range verts {
+			if br.elog.Has(v) {
+				fromLog = append(fromLog, v)
+				adj[i].fromElog = true
+			}
 		}
 	}
 	if len(fromLog) > 0 {
 		pages, err := br.elog.Load(fromLog, func(v uint32, nbrs, weights []uint32) {
-			cp := make([]uint32, len(nbrs))
-			copy(cp, nbrs)
-			var wcp []uint32
-			if weights != nil {
-				wcp = make([]uint32, len(weights))
-				copy(wcp, weights)
-			}
-			adj[v] = &adjEntry{nbrs: cp, weights: wcp, fromElog: true}
+			a := entry(v)
+			a.nbrs, a.weights = nbrs, weights
 		})
 		switch {
 		case errors.Is(err, ssd.ErrCorruptPage):
@@ -1219,31 +1228,32 @@ func (e *Engine) processBatch(br *batchRun) error {
 				return ierr
 			}
 			br.ss.ElogHealed++
-			for _, v := range fromLog {
-				iv := e.g.IntervalOf(v)
-				perIv[iv] = append(perIv[iv], v)
+			for i := range adj {
+				adj[i].fromElog = false
 			}
+			fromLog = nil
 		case err != nil:
 			return err
 		default:
 			br.ss.EdgeLogPagesRead += uint64(pages)
 		}
 	}
-	ivKeys := make([]int, 0, len(perIv))
-	for iv := range perIv {
-		ivKeys = append(ivKeys, iv)
-	}
-	sort.Ints(ivKeys)
-	for _, iv := range ivKeys {
-		stats, err := e.g.LoadOutEdgesFull(iv, perIv[iv], func(v uint32, nbrs, weights []uint32, first, last int32) {
-			cp := make([]uint32, len(nbrs))
-			copy(cp, nbrs)
-			var wcp []uint32
-			if weights != nil {
-				wcp = make([]uint32, len(weights))
-				copy(wcp, weights)
+	csrVerts := verts
+	if len(fromLog) > 0 {
+		csrVerts = make([]uint32, 0, len(verts)-len(fromLog))
+		for i, v := range verts {
+			if !adj[i].fromElog {
+				csrVerts = append(csrVerts, v)
 			}
-			adj[v] = &adjEntry{nbrs: cp, weights: wcp, interval: int32(iv), firstPage: first, lastPage: last}
+		}
+	}
+	// Per-interval loads take runs of the ascending CSR-served vertices.
+	cursor = 0
+	for lo := 0; lo < len(csrVerts); {
+		iv, hi := e.intervalRun(csrVerts, lo)
+		first := cursor
+		stats, err := e.g.LoadOutEdgesFull(iv, csrVerts[lo:hi], func(v uint32, nbrs, weights []uint32, fp, lp int32) {
+			*entry(v) = adjEntry{nbrs: nbrs, weights: weights, interval: int32(iv), firstPage: fp, lastPage: lp}
 		})
 		if err != nil {
 			return err
@@ -1253,8 +1263,11 @@ func (e *Engine) processBatch(br *batchRun) error {
 			br.pred.NotePageUtils(stats.PageUtils)
 			// Mark vertices whose pages measured inefficient this
 			// superstep; the edge-log decision reads this below.
-			for _, v := range perIv[iv] {
-				a := adj[v]
+			for i := first; i < cursor; i++ {
+				a := &adj[i]
+				if a.fromElog {
+					continue
+				}
 				for p := a.firstPage; p <= a.lastPage; p++ {
 					if br.pred.PageIneffNow(csr.PageKey{Side: 0, Interval: a.interval, Page: p}) {
 						a.pageIneff = true
@@ -1263,48 +1276,43 @@ func (e *Engine) processBatch(br *batchRun) error {
 				}
 			}
 		}
+		lo = hi
 	}
 
 	adjSpan.Arg("from_elog", int64(len(fromLog)))
-	adjSpan.Arg("from_csr", int64(len(verts)-len(fromLog)))
+	adjSpan.Arg("from_csr", int64(len(csrVerts)))
 	adjSpan.End()
 
-	// Aux state for AuxUser programs.
+	// Aux state for AuxUser programs: per-vertex aux slices and in-edge
+	// sources, parallel to verts like adj.
 	var auxSpan obsv.Span
+	var auxBatches []*csr.AuxBatch
+	var auxOf, inSources [][]uint32
 	if br.isAux {
 		auxSpan = tr.Begin("engine", "load-aux")
-	}
-	var auxBatches map[int]*csr.AuxBatch
-	inSources := make(map[uint32][]uint32)
-	if br.isAux {
-		auxBatches = make(map[int]*csr.AuxBatch)
-		perIvAll := make(map[int][]uint32)
-		for _, v := range verts {
-			iv := e.g.IntervalOf(v)
-			perIvAll[iv] = append(perIvAll[iv], v)
-		}
-		keys := make([]int, 0, len(perIvAll))
-		for iv := range perIvAll {
-			keys = append(keys, iv)
-		}
-		sort.Ints(keys)
-		for _, iv := range keys {
-			ab, stats, err := br.aux.LoadBatch(iv, perIvAll[iv])
+		auxOf = make([][]uint32, len(verts))
+		inSources = make([][]uint32, len(verts))
+		for lo := 0; lo < len(verts); {
+			iv, hi := e.intervalRun(verts, lo)
+			group := verts[lo:hi]
+			ab, _, err := br.aux.LoadBatch(iv, group)
 			if err != nil {
 				return err
 			}
-			auxBatches[iv] = ab
-			_ = stats // device stats already count these pages
-			if _, err := e.g.LoadInEdges(iv, perIvAll[iv], func(v uint32, srcs []uint32) {
-				cp := make([]uint32, len(srcs))
-				copy(cp, srcs)
-				inSources[v] = cp
+			auxBatches = append(auxBatches, ab)
+			for j, v := range group {
+				auxOf[lo+j] = ab.Get(v)
+			}
+			j := lo
+			if _, err := e.g.LoadInEdges(iv, group, func(_ uint32, srcs []uint32) {
+				inSources[j] = srcs
+				j++
 			}); err != nil {
 				return err
 			}
+			lo = hi
 		}
 	}
-
 	auxSpan.End()
 
 	// Process the vertices in rounds. A round closes once its vertices'
@@ -1316,18 +1324,16 @@ func (e *Engine) processBatch(br *batchRun) error {
 	procSpan := tr.Begin("engine", "process-vertices")
 	procSpan.Arg("verts", int64(len(verts)))
 	halted := make([]bool, len(verts))
-	proto := engineCtx{eng: e, br: br, vb: vb, adj: adj, inSources: inSources, auxBatches: auxBatches}
+	proto := engineCtx{eng: e, br: br, vb: vb, adj: adj, inSources: inSources, aux: auxOf,
+		verts: verts, msgRange: msgRange, halted: halted}
 	roundRecs := int(br.nextLog.Budget() / mlog.RecordBytes)
 	for lo := 0; lo < len(verts); {
 		hi, deg := lo, 0
 		for hi < len(verts) && deg < roundRecs {
-			deg++
-			if a := adj[verts[hi]]; a != nil {
-				deg += len(a.nbrs) * br.lanes
-			}
+			deg += 1 + len(adj[hi].nbrs)*br.lanes
 			hi++
 		}
-		if err := e.processRound(proto, verts[lo:hi], msgRange[lo:hi], halted[lo:hi]); err != nil {
+		if err := e.processRound(proto, lo, hi); err != nil {
 			return err
 		}
 		lo = hi
@@ -1345,9 +1351,9 @@ func (e *Engine) processBatch(br *batchRun) error {
 	if br.elog != nil {
 		relogSpan := tr.Begin("engine", "edgelog-relog")
 		e.io.SetStage(obsv.StageRelog, batch.FirstIv)
-		for _, v := range verts {
-			a := adj[v]
-			if a == nil || a.fromElog || len(a.nbrs) == 0 || !a.pageIneff {
+		for i, v := range verts {
+			a := &adj[i]
+			if a.fromElog || len(a.nbrs) == 0 || !a.pageIneff {
 				continue
 			}
 			if !br.pred.PredictActive(v) {
@@ -1407,19 +1413,32 @@ func activeVertices(recs []sortgroup.Rec, carry *bitset.Set, lo, hi uint32) (ver
 	return verts, msgRange
 }
 
-// processRound runs one round — a contiguous run of the batch's active
-// vertices with their message ranges and halt flags — on the worker pool.
-// Each worker takes a contiguous chunk and a copy of proto, the batch's
+// intervalRun returns the interval holding vs[lo] and the end hi of the
+// run vs[lo:hi] that lies in it; vs ascends.
+func (e *Engine) intervalRun(vs []uint32, lo int) (iv, hi int) {
+	iv = e.g.IntervalOf(vs[lo])
+	end := e.g.Intervals()[iv].Hi
+	hi = lo + 1
+	for hi < len(vs) && vs[hi] < end {
+		hi++
+	}
+	return iv, hi
+}
+
+// processRound runs one round — the batch's active vertices [lo, hi),
+// with their message ranges and halt flags — on the worker pool. Each
+// worker takes a contiguous chunk and a copy of proto, the batch's
 // context, and stages its sends and mutations in its own buffers; the
 // buffers are then replayed in worker order — global vertex order — into
 // the message logs on this goroutine. The logs, and the device IO their
 // evictions issue, are therefore those of a one-worker run at any Workers
 // or GOMAXPROCS.
-func (e *Engine) processRound(proto engineCtx, verts []uint32, msgRange [][2]int, halted []bool) error {
+func (e *Engine) processRound(proto engineCtx, lo, hi int) error {
 	br := proto.br
-	workers := min(e.cfg.Workers, len(verts))
+	workers := min(e.cfg.Workers, hi-lo)
 	br.sends.Reset(workers)
 	br.mutBufs.Reset(workers)
+	br.msgBufs.Reset(workers)
 	recs := br.batch.Recs
 	// Panic capture: a program's Process panic on a worker goroutine would
 	// otherwise kill the whole process (the serving daemon included). The
@@ -1427,15 +1446,15 @@ func (e *Engine) processRound(proto engineCtx, verts []uint32, msgRange [][2]int
 	var panicOnce sync.Once
 	var panicErr error
 	var wg sync.WaitGroup
-	chunk := (len(verts) + workers - 1) / workers
+	chunk := (hi - lo + workers - 1) / workers
 	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(verts))
-		if lo >= hi {
+		wlo := lo + w*chunk
+		whi := min(wlo+chunk, hi)
+		if wlo >= whi {
 			continue
 		}
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(w, wlo, whi int) {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
@@ -1446,26 +1465,26 @@ func (e *Engine) processRound(proto engineCtx, verts []uint32, msgRange [][2]int
 			}()
 			ctx := proto
 			ctx.sends, ctx.muts = br.sends.Worker(w), br.mutBufs.Worker(w)
-			var msgBuf []vc.Msg
-			for i := lo; i < hi; i++ {
-				r := msgRange[i]
-				msgBuf = msgBuf[:0]
+			buf := br.msgBufs.Worker(w)
+			for i := wlo; i < whi; i++ {
+				r := ctx.msgRange[i]
+				msgs := (*buf)[:0]
 				for k := r[0]; k < r[1]; k++ {
-					msgBuf = append(msgBuf, vc.Msg{Src: recs[k].Src, Data: recs[k].Data})
+					msgs = append(msgs, vc.Msg{Src: recs[k].Src, Data: recs[k].Data})
 				}
-				msgs := msgBuf
+				*buf = msgs
 				if br.combiner != nil && len(msgs) > 1 {
 					acc := msgs[0].Data
 					for _, m := range msgs[1:] {
 						acc = br.combiner.Combine(acc, m.Data)
 					}
-					msgs = []vc.Msg{{Src: msgs[0].Src, Data: acc}}
+					msgs[0].Data = acc
+					msgs = msgs[:1]
 				}
-				ctx.vertex = verts[i]
-				ctx.haltedFlag = &halted[i]
+				ctx.idx, ctx.vertex = i, ctx.verts[i]
 				br.prog.Process(&ctx, msgs)
 			}
-		}(w, lo, hi)
+		}(w, wlo, whi)
 	}
 	wg.Wait()
 	if panicErr != nil {
@@ -1484,19 +1503,25 @@ func (e *Engine) processRound(proto engineCtx, verts []uint32, msgRange [][2]int
 	return mlog.Replay(br.nextLog, cur, fwdFrom, br.sends.Staged()...)
 }
 
-// engineCtx implements vc.Context for one worker.
+// engineCtx implements vc.Context for one worker. The per-vertex state of
+// the batch — adjacency, in-edge sources, aux slices, message ranges and
+// halt flags — is held in slices parallel to verts, indexed by idx, the
+// processed vertex's position in the batch.
 type engineCtx struct {
-	eng        *Engine
-	br         *batchRun
-	vb         *csr.ValueBatch
-	adj        map[uint32]*adjEntry
-	inSources  map[uint32][]uint32
-	auxBatches map[int]*csr.AuxBatch
-	sends      *[]mlog.Update
+	eng       *Engine
+	br        *batchRun
+	vb        *csr.ValueBatch
+	verts     []uint32
+	msgRange  [][2]int
+	halted    []bool
+	adj       []adjEntry
+	inSources [][]uint32 // nil unless the program uses aux state
+	aux       [][]uint32 // nil unless the program uses aux state
+	sends     *[]mlog.Update
 
-	vertex     uint32
-	haltedFlag *bool
-	muts       *[]vc.Mutation
+	idx    int
+	vertex uint32
+	muts   *[]vc.Mutation
 }
 
 func (c *engineCtx) Superstep() int      { return c.br.step }
@@ -1504,7 +1529,7 @@ func (c *engineCtx) NumVertices() uint32 { return c.eng.g.NumVertices() }
 func (c *engineCtx) Vertex() uint32      { return c.vertex }
 func (c *engineCtx) Value() uint32       { return c.vb.Get(c.vertex) }
 func (c *engineCtx) SetValue(v uint32)   { c.vb.Set(c.vertex, v) }
-func (c *engineCtx) VoteToHalt()         { *c.haltedFlag = true }
+func (c *engineCtx) VoteToHalt()         { c.halted[c.idx] = true }
 
 // ValueLane and SetValueLane implement vc.LaneContext: lane-batched
 // programs address the lane-strided value slots of the processed vertex.
@@ -1514,19 +1539,9 @@ func (c *engineCtx) ValueLane(lane int) uint32 { return c.vb.GetLane(c.vertex, l
 
 func (c *engineCtx) SetValueLane(lane int, v uint32) { c.vb.SetLane(c.vertex, lane, v) }
 
-func (c *engineCtx) OutEdges() []uint32 {
-	if a := c.adj[c.vertex]; a != nil {
-		return a.nbrs
-	}
-	return nil
-}
+func (c *engineCtx) OutEdges() []uint32 { return c.adj[c.idx].nbrs }
 
-func (c *engineCtx) OutWeights() []uint32 {
-	if a := c.adj[c.vertex]; a != nil {
-		return a.weights
-	}
-	return nil
-}
+func (c *engineCtx) OutWeights() []uint32 { return c.adj[c.idx].weights }
 
 // Send stages the update in the worker's buffer; processRound replays it
 // into the logs after the round.
@@ -1535,7 +1550,12 @@ func (c *engineCtx) Send(dst, data uint32) {
 	*c.sends = append(*c.sends, mlog.Update{Dst: dst, Src: c.vertex, Data: data, Iv: iv})
 }
 
-func (c *engineCtx) InEdgeSources() []uint32 { return c.inSources[c.vertex] }
+func (c *engineCtx) InEdgeSources() []uint32 {
+	if c.inSources == nil {
+		return nil
+	}
+	return c.inSources[c.idx]
+}
 
 // AddEdge implements vc.Mutator: the edge appears next superstep.
 func (c *engineCtx) AddEdge(src, dst, weight uint32) {
@@ -1548,14 +1568,10 @@ func (c *engineCtx) RemoveEdge(src, dst uint32) {
 }
 
 func (c *engineCtx) Aux() []uint32 {
-	if c.auxBatches == nil {
+	if c.aux == nil {
 		return nil
 	}
-	iv := c.eng.g.IntervalOf(c.vertex)
-	if ab := c.auxBatches[iv]; ab != nil {
-		return ab.Get(c.vertex)
-	}
-	return nil
+	return c.aux[c.idx]
 }
 
 // intervalSkew measures how unevenly the superstep's incoming messages

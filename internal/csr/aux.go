@@ -3,7 +3,7 @@ package csr
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"multilogvc/internal/ssd"
 )
@@ -100,14 +100,17 @@ func (a *Aux) RestoreAll(data [][]uint32) error {
 
 // AuxBatch holds the aux slices of a set of active vertices in one
 // interval. Get returns a mutable slice (parallel to the vertex's in-CSR
-// source list); Flush writes dirty entries back with page-granular RMW.
+// source list) that aliases the loaded page images; Flush writes them
+// back with page-granular RMW.
 type AuxBatch struct {
-	aux    *Aux
-	iv     int
-	ranges map[uint32][2]uint64 // vertex -> [start,end) entry offsets
-	data   map[uint32][]uint32  // vertex -> loaded slice
-	pages  map[int][]byte       // page index -> page image
-	order  []int                // sorted page indices
+	aux   *Aux
+	iv    int
+	verts []uint32 // ascending
+	rows  []uint64 // [start0, end0, start1, end1, ...] entry offsets
+	vals  []uint32 // every vertex's slice, back to back (offsets in start)
+	start []int    // vals offset of verts[i]'s slice; len(verts)+1 entries
+	plan  pagePlan
+	buf   []byte // the planned aux pages, back to back
 }
 
 // LoadBatch fetches the aux slices of the given vertices (sorted, all in
@@ -115,13 +118,7 @@ type AuxBatch struct {
 // and returns IO stats alongside the batch.
 func (a *Aux) LoadBatch(iv int, verts []uint32) (*AuxBatch, LoadStats, error) {
 	var stats LoadStats
-	b := &AuxBatch{
-		aux:    a,
-		iv:     iv,
-		ranges: make(map[uint32][2]uint64, len(verts)),
-		data:   make(map[uint32][]uint32, len(verts)),
-		pages:  make(map[int][]byte),
-	}
+	b := &AuxBatch{aux: a, iv: iv}
 	if len(verts) == 0 {
 		return b, stats, nil
 	}
@@ -133,78 +130,69 @@ func (a *Aux) LoadBatch(iv int, verts []uint32) (*AuxBatch, LoadStats, error) {
 	stats.RowPtrPages = rowPages
 
 	ps := a.g.dev.PageSize()
-	pageSet := make(map[int]bool)
-	for i, v := range verts {
-		start, end := rows[2*i], rows[2*i+1]
-		b.ranges[v] = [2]uint64{start, end}
-		if start == end {
-			continue
-		}
-		for p := int64(start) * 4 / int64(ps); p <= (int64(end)*4-1)/int64(ps); p++ {
-			pageSet[int(p)] = true
-		}
-	}
-	pages := make([]int, 0, len(pageSet))
-	for p := range pageSet {
-		pages = append(pages, p)
-	}
-	sort.Ints(pages)
-	buf := make([]byte, len(pages)*ps)
-	if err := a.files[iv].ReadPages(pages, buf); err != nil {
+	plan, err := planEdgePages(ps, rows)
+	if err != nil {
 		return nil, stats, err
 	}
-	stats.ColIdxPages = len(pages)
-	for i, p := range pages {
-		b.pages[p] = buf[i*ps : (i+1)*ps]
+	buf := make([]byte, len(plan.pages)*ps)
+	if err := a.files[iv].ReadPages(plan.pages, buf); err != nil {
+		return nil, stats, err
 	}
-	b.order = pages
+	stats.ColIdxPages = len(plan.pages)
 
-	for i, v := range verts {
-		start, end := rows[2*i], rows[2*i+1]
-		vals := make([]uint32, end-start)
-		for j := range vals {
-			off := (int64(start) + int64(j)) * 4
-			page := b.pages[int(off/int64(ps))]
-			vals[j] = binary.LittleEndian.Uint32(page[off%int64(ps):])
-		}
-		b.data[v] = vals
+	b.verts, b.rows, b.plan, b.buf = slices.Clone(verts), rows, plan, buf
+	b.start = make([]int, len(verts)+1)
+	for i := range verts {
+		b.start[i+1] = b.start[i] + int(rows[2*i+1]-rows[2*i])
+	}
+	b.vals = make([]uint32, b.start[len(verts)])
+	for i := range verts {
+		decodeU32s(b.vals[b.start[i]:b.start[i+1]], b.view(i))
 	}
 	return b, stats, nil
 }
 
+// view returns the page bytes of verts[i]'s aux entries.
+func (b *AuxBatch) view(i int) []byte {
+	return b.plan.view(b.buf, i, int64(b.rows[2*i])*4, int64(b.rows[2*i+1])*4)
+}
+
 // Get returns the mutable aux slice for v (parallel to its in-CSR source
 // list), or nil if v was not in the batch.
-func (b *AuxBatch) Get(v uint32) []uint32 { return b.data[v] }
+func (b *AuxBatch) Get(v uint32) []uint32 {
+	i, ok := slices.BinarySearch(b.verts, v)
+	if !ok {
+		return nil
+	}
+	return b.vals[b.start[i]:b.start[i+1]:b.start[i+1]]
+}
 
 // Flush writes all batch slices back into the loaded page images and
 // writes those pages to the device. It returns the number of pages
 // written.
 func (b *AuxBatch) Flush() (int, error) {
-	if len(b.pages) == 0 {
+	if len(b.plan.pages) == 0 {
 		return 0, nil
 	}
-	ps := b.aux.g.dev.PageSize()
-	for v, vals := range b.data {
-		start := b.ranges[v][0]
-		for j, val := range vals {
-			off := (int64(start) + int64(j)) * 4
-			page := b.pages[int(off/int64(ps))]
-			binary.LittleEndian.PutUint32(page[off%int64(ps):], val)
+	for i := range b.verts {
+		page := b.view(i)
+		for j, val := range b.vals[b.start[i]:b.start[i+1]] {
+			binary.LittleEndian.PutUint32(page[4*j:], val)
 		}
 	}
-	// Write back in contiguous runs to batch channel usage.
+	// Write back in contiguous runs to batch channel usage. Planned pages
+	// sit back to back in buf, so a run of consecutive page numbers is one
+	// slice of it.
+	ps := b.aux.g.dev.PageSize()
 	f := b.aux.files[b.iv]
+	pages := b.plan.pages
 	written := 0
-	for i := 0; i < len(b.order); {
+	for i := 0; i < len(pages); {
 		j := i
-		for j+1 < len(b.order) && b.order[j+1] == b.order[j]+1 {
+		for j+1 < len(pages) && pages[j+1] == pages[j]+1 {
 			j++
 		}
-		run := make([]byte, (j-i+1)*ps)
-		for k := i; k <= j; k++ {
-			copy(run[(k-i)*ps:], b.pages[b.order[k]])
-		}
-		if err := f.WritePageRange(b.order[i], run); err != nil {
+		if err := f.WritePageRange(pages[i], b.buf[i*ps:(j+1)*ps]); err != nil {
 			return written, err
 		}
 		written += j - i + 1

@@ -3,7 +3,6 @@ package csr
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"multilogvc/internal/ssd"
 )
@@ -161,8 +160,9 @@ func (s *LoadStats) Add(other LoadStats) {
 	s.PageUtils = append(s.PageUtils, other.PageUtils...)
 }
 
-// EdgeVisitor receives one vertex's neighbor list. nbrs aliases an
-// internal buffer valid only during the call.
+// EdgeVisitor receives one vertex's neighbor list. Each load decodes its
+// lists into one arena of its own, so nbrs stays valid after the call and
+// until the caller drops it; callers keep it without copying.
 type EdgeVisitor func(v uint32, nbrs []uint32)
 
 // EdgeVisitorEx additionally receives the column-index page range
@@ -172,12 +172,13 @@ type EdgeVisitor func(v uint32, nbrs []uint32)
 type EdgeVisitorEx func(v uint32, nbrs []uint32, firstPage, lastPage int32)
 
 // EdgeVisitorFull additionally receives the vertex's per-edge weights
-// (nil for unweighted graphs), parallel to nbrs.
+// (nil for unweighted graphs), parallel to nbrs and arena-backed like it.
 type EdgeVisitorFull func(v uint32, nbrs, weights []uint32, firstPage, lastPage int32)
 
 // LoadOutEdges loads the out-edge lists of the given vertices, which must
-// all lie in interval iv and be sorted ascending. Only the row-pointer and
-// column-index pages covering the requested vertices are read, in batches.
+// all lie in interval iv and be sorted ascending (a descending pair is an
+// error). Only the row-pointer and column-index pages covering the
+// requested vertices are read, in batches.
 func (g *Graph) LoadOutEdges(iv int, verts []uint32, visit EdgeVisitor) (LoadStats, error) {
 	return g.loadEdges(0, g.outRow[iv], g.outCol[iv], nil, iv, verts,
 		func(v uint32, nbrs, _ []uint32, _, _ int32) { visit(v, nbrs) })
@@ -237,121 +238,111 @@ func (g *Graph) loadEdges(side uint8, rowF, colF, valF *ssd.File, iv int, verts 
 			epoch = ing.epoch.Load()
 		}
 	}
-	interval := g.meta.Intervals[iv]
-	for _, v := range verts {
-		if !interval.Contains(v) {
-			return stats, fmt.Errorf("csr: vertex %d outside interval %d %v", v, iv, interval)
-		}
-	}
-
-	rows, rowPages, err := g.readRowEntries(rowF, interval, verts)
+	rows, rowPages, err := g.readRowEntries(rowF, g.meta.Intervals[iv], verts)
 	if err != nil {
 		return stats, err
 	}
 	stats.RowPtrPages = rowPages
 
-	// Gather the set of colidx pages covering all requested edge ranges,
-	// tracking used bytes per page.
+	// The column-index pages covering every requested edge range, read as
+	// one batch.
 	ps := g.dev.PageSize()
-	used := make(map[int]int32) // page -> used bytes
-	for i := range verts {
-		start, end := rows[2*i], rows[2*i+1]
-		if start == end {
-			continue
-		}
-		bLo := int64(start) * 4
-		bHi := int64(end) * 4
-		for p := bLo / int64(ps); p <= (bHi-1)/int64(ps); p++ {
-			pLo := p * int64(ps)
-			pHi := pLo + int64(ps)
-			lo, hi := bLo, bHi
-			if lo < pLo {
-				lo = pLo
-			}
-			if hi > pHi {
-				hi = pHi
-			}
-			used[int(p)] += int32(hi - lo)
-		}
-	}
-	pages := make([]int, 0, len(used))
-	for p := range used {
-		pages = append(pages, p)
-	}
-	sort.Ints(pages)
-	pageBuf := make([]byte, len(pages)*ps)
-	if err := colF.ReadPages(pages, pageBuf); err != nil {
+	plan, err := planEdgePages(ps, rows)
+	if err != nil {
 		return stats, err
 	}
-	stats.ColIdxPages = len(pages)
-	pageAt := make(map[int][]byte, len(pages))
-	for i, p := range pages {
-		pageAt[p] = pageBuf[i*ps : (i+1)*ps]
-		stats.PageUtils = append(stats.PageUtils, PageUtil{
+	pageBuf := make([]byte, len(plan.pages)*ps)
+	if err := colF.ReadPages(plan.pages, pageBuf); err != nil {
+		return stats, err
+	}
+	stats.ColIdxPages = len(plan.pages)
+	stats.PageUtils = make([]PageUtil, len(plan.pages))
+	for k, p := range plan.pages {
+		stats.PageUtils[k] = PageUtil{
 			Key:       PageKey{Side: side, Interval: int32(iv), Page: int32(p)},
-			UsedBytes: used[p],
-		})
+			UsedBytes: plan.used[k],
+		}
 	}
 
 	// Weighted graphs: the val file mirrors the colidx layout, so the
-	// same page set serves the weights.
-	var valAt map[int][]byte
+	// same plan serves the weights. A val file can be shorter than its
+	// colidx file only by padding, so its pages are a prefix of the plan;
+	// pages past its end stay zero.
+	var valBuf []byte
 	if valF != nil {
-		valBuf := make([]byte, len(pages)*ps)
-		// val files can be shorter than colidx files only by padding;
-		// clamp the request to allocated pages.
-		valPages := make([]int, 0, len(pages))
-		for _, p := range pages {
-			if p < valF.NumPages() {
-				valPages = append(valPages, p)
-			}
+		valBuf = make([]byte, len(pageBuf))
+		n := len(plan.pages)
+		for n > 0 && plan.pages[n-1] >= valF.NumPages() {
+			n--
 		}
-		if err := valF.ReadPages(valPages, valBuf[:len(valPages)*ps]); err != nil {
+		if err := valF.ReadPages(plan.pages[:n], valBuf[:n*ps]); err != nil {
 			return stats, err
 		}
-		stats.ValPages = len(valPages)
-		valAt = make(map[int][]byte, len(valPages))
-		for i, p := range valPages {
-			valAt[p] = valBuf[i*ps : (i+1)*ps]
-		}
+		stats.ValPages = n
 	}
 
-	// Reassemble each vertex's neighbor list from the fetched pages and
-	// overlay structural deltas if present.
-	var nbrBuf, wBuf []uint32
+	// Decode every neighbor list into one arena, then overlay structural
+	// deltas if present. The lists outlive the call (see EdgeVisitor).
+	var edges uint64
+	for i := range verts {
+		edges += rows[2*i+1] - rows[2*i]
+	}
+	nbrArena := make([]uint32, edges)
+	var wArena []uint32
+	if valBuf != nil {
+		wArena = make([]uint32, edges)
+	}
+	var at uint64
 	for i, v := range verts {
 		start, end := rows[2*i], rows[2*i+1]
-		deg := int(end - start)
-		if cap(nbrBuf) < deg {
-			nbrBuf = make([]uint32, deg)
-			wBuf = make([]uint32, deg)
-		}
-		nbrs := nbrBuf[:deg]
+		nbrs := nbrArena[at : at+end-start : at+end-start]
+		bLo, bHi := int64(start)*4, int64(end)*4
+		decodeU32s(nbrs, plan.view(pageBuf, i, bLo, bHi))
 		var weights []uint32
-		if valAt != nil {
-			weights = wBuf[:deg]
+		if wArena != nil {
+			weights = wArena[at : at+end-start : at+end-start]
+			decodeU32s(weights, plan.view(valBuf, i, bLo, bHi))
 		}
-		for j := 0; j < deg; j++ {
-			off := (int64(start) + int64(j)) * 4
-			page := pageAt[int(off/int64(ps))]
-			nbrs[j] = binary.LittleEndian.Uint32(page[off%int64(ps):])
-			if weights != nil {
-				if vp := valAt[int(off/int64(ps))]; vp != nil {
-					weights[j] = binary.LittleEndian.Uint32(vp[off%int64(ps):])
-				}
-			}
-		}
+		at += end - start
 		if g.ing != nil {
 			nbrs, weights = g.ing.deltas.apply(side, v, nbrs, weights, epoch)
 		}
-		firstPage := int32(int64(start) * 4 / int64(ps))
-		lastPage := int32((int64(end)*4 - 1) / int64(ps))
-		if deg == 0 {
+		firstPage, lastPage := int32(bLo/int64(ps)), int32((bHi-1)/int64(ps))
+		if start == end {
 			firstPage, lastPage = 1, 0
 		}
 		visit(v, nbrs, weights, firstPage, lastPage)
 	}
 	return stats, nil
+}
+
+// planEdgePages plans the column-index (or aux, or val) pages holding the
+// edge ranges rows lays out as [start0, end0, start1, end1, ...], in
+// edges of 4 bytes.
+func planEdgePages(pageSize int, rows []uint64) (pagePlan, error) {
+	return planPages(pageSize, len(rows)/2, func(i int) (int64, int64) {
+		return int64(rows[2*i]) * 4, int64(rows[2*i+1]) * 4
+	})
+}
+
+// planRowPages plans the row-pointer pages holding entries j and j+1 (8
+// bytes each) of every vertex j of verts relative to interval; vertices
+// outside it cover no page.
+func planRowPages(pageSize int, interval Interval, verts []uint32) (pagePlan, error) {
+	return planPages(pageSize, len(verts), func(i int) (int64, int64) {
+		if !interval.Contains(verts[i]) {
+			return 0, 0
+		}
+		lo := int64(verts[i]-interval.Lo) * 8
+		return lo, lo + 16
+	})
+}
+
+// decodeU32s decodes little-endian uint32s from src into dst.
+func decodeU32s(dst []uint32, src []byte) {
+	for j := range dst {
+		dst[j] = binary.LittleEndian.Uint32(src[4*j:])
+	}
 }
 
 // readRowEntries returns, for each requested vertex, its (start, end) edge
@@ -363,45 +354,32 @@ func (g *Graph) readRowEntries(rowF *ssd.File, interval Interval, verts []uint32
 
 // readRowEntriesWith is readRowEntries with the page read indirected, so
 // the prefetcher's planning path can issue it stage-tagged (its goroutine
-// runs concurrently with the engine's ambient device tag).
+// runs concurrently with the engine's ambient device tag). verts must lie
+// in interval and ascend.
 func (g *Graph) readRowEntriesWith(rowF *ssd.File, interval Interval, verts []uint32,
 	read func(pages []int, dst []byte) error) ([]uint64, int, error) {
-	ps := g.dev.PageSize()
-	pageSet := make(map[int]bool)
 	for _, v := range verts {
-		j := int64(v - interval.Lo)
-		// Entries j and j+1, 8 bytes each.
-		bLo := j * 8
-		bHi := bLo + 16
-		for p := bLo / int64(ps); p <= (bHi-1)/int64(ps); p++ {
-			pageSet[int(p)] = true
+		if !interval.Contains(v) {
+			return nil, 0, fmt.Errorf("csr: vertex %d outside interval %v", v, interval)
 		}
 	}
-	pages := make([]int, 0, len(pageSet))
-	for p := range pageSet {
-		pages = append(pages, p)
-	}
-	sort.Ints(pages)
-	buf := make([]byte, len(pages)*ps)
-	if err := read(pages, buf); err != nil {
+	ps := g.dev.PageSize()
+	plan, err := planRowPages(ps, interval, verts)
+	if err != nil {
 		return nil, 0, err
 	}
-	pageAt := make(map[int][]byte, len(pages))
-	for i, p := range pages {
-		pageAt[p] = buf[i*ps : (i+1)*ps]
-	}
-	entry := func(j int64) uint64 {
-		off := j * 8
-		page := pageAt[int(off/int64(ps))]
-		return binary.LittleEndian.Uint64(page[off%int64(ps):])
+	buf := make([]byte, len(plan.pages)*ps)
+	if err := read(plan.pages, buf); err != nil {
+		return nil, 0, err
 	}
 	out := make([]uint64, 2*len(verts))
 	for i, v := range verts {
-		j := int64(v - interval.Lo)
-		out[2*i] = entry(j)
-		out[2*i+1] = entry(j + 1)
+		lo := int64(v-interval.Lo) * 8
+		ent := plan.view(buf, i, lo, lo+16)
+		out[2*i] = binary.LittleEndian.Uint64(ent)
+		out[2*i+1] = binary.LittleEndian.Uint64(ent[8:])
 	}
-	return out, len(pages), nil
+	return out, len(plan.pages), nil
 }
 
 // ReadWholeInterval reads every out-edge list of an interval sequentially

@@ -1,8 +1,6 @@
 package csr
 
 import (
-	"sort"
-
 	"multilogvc/internal/obsv"
 	"multilogvc/internal/ssd"
 )
@@ -10,9 +8,10 @@ import (
 // Prefetch planning helpers: these compute which device pages a future
 // adjacency or value load for a predicted-active vertex set would touch,
 // so the engine's prefetcher can warm them while the current batch
-// computes. They mirror the page arithmetic of loadEdges/readRowEntries
-// and LoadForVerts exactly — a page warmed here is precisely a page the
-// demand load would otherwise miss on.
+// computes. The CSR planners build their page sets with the same page
+// plan as loadEdges/readRowEntries (planRowPages, planEdgePages), and
+// PagesForVerts mirrors LoadForVerts — a page warmed here is precisely a
+// page the demand load would otherwise miss on.
 
 // File returns the device file backing the value array.
 func (vv *Values) File() *ssd.File { return vv.f }
@@ -41,27 +40,19 @@ func (vv *Values) PagesForVerts(verts []uint32) []int {
 }
 
 // OutRowPages returns interval iv's out-CSR row-pointer file and the
-// pages covering the row entries of verts. Pure arithmetic — no IO — so
-// it is safe to call from the engine's main loop when planning prefetch.
+// pages covering the row entries of verts, which must ascend (otherwise it
+// plans nothing); vertices outside the interval are skipped. Pure
+// arithmetic — no IO — so it is safe to call from the engine's main loop
+// when planning prefetch.
 func (g *Graph) OutRowPages(iv int, verts []uint32) (*ssd.File, []int) {
 	if len(verts) == 0 {
 		return nil, nil
 	}
-	interval := g.meta.Intervals[iv]
-	ps := g.dev.PageSize()
-	pageSet := make(map[int]bool)
-	for _, v := range verts {
-		if !interval.Contains(v) {
-			continue
-		}
-		j := int64(v - interval.Lo)
-		bLo := j * 8
-		bHi := bLo + 16 // entries j and j+1
-		for p := bLo / int64(ps); p <= (bHi-1)/int64(ps); p++ {
-			pageSet[int(p)] = true
-		}
+	plan, err := planRowPages(g.dev.PageSize(), g.meta.Intervals[iv], verts)
+	if err != nil {
+		return nil, nil
 	}
-	return g.outRow[iv], sortedPages(pageSet)
+	return g.outRow[iv], plan.pages
 }
 
 // OutColPages reads the row entries of verts (a cache hit when the
@@ -93,27 +84,9 @@ func (g *Graph) OutColPages(iv int, verts []uint32) (*ssd.File, []int, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	ps := g.dev.PageSize()
-	pageSet := make(map[int]bool)
-	for i := range inRange {
-		start, end := rows[2*i], rows[2*i+1]
-		if start == end {
-			continue
-		}
-		bLo := int64(start) * 4
-		bHi := int64(end) * 4
-		for p := bLo / int64(ps); p <= (bHi-1)/int64(ps); p++ {
-			pageSet[int(p)] = true
-		}
+	plan, err := planEdgePages(g.dev.PageSize(), rows)
+	if err != nil {
+		return nil, nil, err
 	}
-	return g.outCol[iv], sortedPages(pageSet), nil
-}
-
-func sortedPages(set map[int]bool) []int {
-	pages := make([]int, 0, len(set))
-	for p := range set {
-		pages = append(pages, p)
-	}
-	sort.Ints(pages)
-	return pages
+	return g.outCol[iv], plan.pages, nil
 }

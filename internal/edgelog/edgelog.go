@@ -266,7 +266,8 @@ func (e *EdgeLog) Has(v uint32) bool {
 // Load fetches the out-edge lists (and weights, for weighted logs) of the
 // given vertices from the current generation, reading only covering pages
 // in one batch. All vertices must satisfy Has. Returns the number of pages
-// read. weights is nil for unweighted logs.
+// read. weights is nil for unweighted logs. The lists are decoded into one
+// arena per call, so they stay valid after visit returns.
 func (e *EdgeLog) Load(verts []uint32, visit func(v uint32, nbrs, weights []uint32)) (int, error) {
 	if len(verts) == 0 {
 		return 0, nil
@@ -307,18 +308,26 @@ func (e *EdgeLog) Load(verts []uint32, visit func(v uint32, nbrs, weights []uint
 	u32At := func(off int64) uint32 {
 		return binary.LittleEndian.Uint32(pageAt[int(off/int64(ps))][off%int64(ps):])
 	}
-	var nbrBuf, wBuf []uint32
+	// One arena holds every list, so the lists outlive the call.
+	var edges int
+	for _, v := range verts {
+		edges += int(idx[v].deg)
+	}
+	nbrArena := make([]uint32, edges)
+	var wArena []uint32
+	if e.weighted {
+		wArena = make([]uint32, edges)
+	}
+	at := 0
 	for _, v := range verts {
 		ent := idx[v]
-		if cap(nbrBuf) < int(ent.deg) {
-			nbrBuf = make([]uint32, ent.deg)
-			wBuf = make([]uint32, ent.deg)
-		}
-		nbrs := nbrBuf[:ent.deg]
+		end := at + int(ent.deg)
+		nbrs := nbrArena[at:end:end]
 		var weights []uint32
 		if e.weighted {
-			weights = wBuf[:ent.deg]
+			weights = wArena[at:end:end]
 		}
+		at = end
 		for j := uint32(0); j < ent.deg; j++ {
 			nbrs[j] = u32At(ent.off + int64(j)*4)
 			if e.weighted {

@@ -70,7 +70,7 @@ func Sort(dev *ssd.Device, prefix string, src Source, lo, hi uint32, memBudget i
 
 	if rs.NumRuns() == 0 {
 		// Everything fit in memory: no external phase.
-		buf, err = SortByDst(buf, lo, hi)
+		buf, err = SortByDst(buf, lo, hi, &rs.scratch)
 		if err != nil {
 			return rs.st, err
 		}
@@ -120,6 +120,7 @@ type Runs struct {
 	files   []*ssd.File
 	counts  []uint64
 	st      Stats
+	scratch SortScratch // every Flush sorts into it
 }
 
 // NewRuns prepares a run accumulator for records whose destinations lie
@@ -140,7 +141,7 @@ func (rs *Runs) Flush(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	recs, err := SortByDst(recs, rs.lo, rs.hi)
+	recs, err := SortByDst(recs, rs.lo, rs.hi, &rs.scratch)
 	if err != nil {
 		return err
 	}
@@ -272,13 +273,22 @@ func (m *Merger) Close() {
 // range it is sorted over — a log holding a record it cannot own.
 var ErrOutOfRange = errors.New("extsort: record destination out of range")
 
+// SortScratch is SortByDst's reusable memory: the per-destination counts
+// and the output buffer. The zero value is ready to use; one scratch
+// serves one sort at a time.
+type SortScratch struct {
+	start []int
+	out   []Record
+}
+
 // SortByDst stably sorts recs, whose destinations must all lie in
-// [lo, hi), by destination into a new slice; a record outside the range
-// is an ErrOutOfRange error. It is a counting sort keyed on Dst-lo
+// [lo, hi), by destination into s's output buffer and returns it; the
+// result stays valid until the next sort with s. A record outside the
+// range is an ErrOutOfRange error. It is a counting sort keyed on Dst-lo
 // (BigSparse-style bucketing: an interval is a bounded, contiguous vertex
 // range), so equal destinations keep their input order and each vertex
 // sees its messages in send order.
-func SortByDst(recs []Record, lo, hi uint32) ([]Record, error) {
+func SortByDst(recs []Record, lo, hi uint32, s *SortScratch) ([]Record, error) {
 	for _, r := range recs {
 		if r.Dst < lo || r.Dst >= hi {
 			return nil, fmt.Errorf("%w: dst %d not in [%d, %d)", ErrOutOfRange, r.Dst, lo, hi)
@@ -287,14 +297,22 @@ func SortByDst(recs []Record, lo, hi uint32) ([]Record, error) {
 	if len(recs) == 0 {
 		return recs, nil
 	}
-	start := make([]int, int(hi-lo)+1)
+	n := int(hi-lo) + 1
+	if cap(s.start) < n {
+		s.start = make([]int, n)
+	}
+	start := s.start[:n]
+	clear(start)
 	for _, r := range recs {
 		start[r.Dst-lo+1]++
 	}
 	for k := 1; k < len(start); k++ {
 		start[k] += start[k-1]
 	}
-	out := make([]Record, len(recs))
+	if cap(s.out) < len(recs) {
+		s.out = make([]Record, len(recs))
+	}
+	out := s.out[:len(recs)]
 	for _, r := range recs {
 		k := r.Dst - lo
 		out[start[k]] = r

@@ -272,7 +272,7 @@ func TestSortByDst(t *testing.T) {
 			recs[i].Dst += 100
 		}
 		want := stableRef(recs)
-		got, err := SortByDst(recs, tc.lo, tc.hi)
+		got, err := SortByDst(recs, tc.lo, tc.hi, new(SortScratch))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -284,11 +284,11 @@ func TestSortByDst(t *testing.T) {
 	}
 	for _, dst := range []uint32{99, 150} {
 		recs := []Record{{Dst: 120}, {Dst: dst}}
-		if _, err := SortByDst(recs, 100, 150); !errors.Is(err, ErrOutOfRange) {
+		if _, err := SortByDst(recs, 100, 150, new(SortScratch)); !errors.Is(err, ErrOutOfRange) {
 			t.Fatalf("dst %d outside [100, 150): err = %v, want ErrOutOfRange", dst, err)
 		}
 	}
-	if got, err := SortByDst(nil, 0, 10); err != nil || len(got) != 0 {
+	if got, err := SortByDst(nil, 0, 10, new(SortScratch)); err != nil || len(got) != 0 {
 		t.Fatalf("empty input: %v, %v", got, err)
 	}
 	recs := []Record{{Dst: 3}, {Dst: 1}, {Dst: 10}}

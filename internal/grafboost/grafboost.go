@@ -323,19 +323,16 @@ func (e *Engine) processInterval(ir *ivRun) error {
 	for v := interval.Lo; v < interval.Hi; v++ {
 		allVerts = append(allVerts, v)
 	}
-	adj := make(map[uint32][]uint32, len(allVerts))
-	var adjW map[uint32][]uint32
+	// Lists are indexed by v - interval.Lo and alias the load's arena.
+	adj := make([][]uint32, len(allVerts))
+	var adjW [][]uint32
 	if g.HasWeights() {
-		adjW = make(map[uint32][]uint32, len(allVerts))
+		adjW = make([][]uint32, len(allVerts))
 	}
 	if _, err := g.LoadOutEdgesFull(ir.iv, allVerts, func(v uint32, nbrs, weights []uint32, _, _ int32) {
-		cp := make([]uint32, len(nbrs))
-		copy(cp, nbrs)
-		adj[v] = cp
+		adj[v-interval.Lo] = nbrs
 		if adjW != nil {
-			wcp := make([]uint32, len(weights))
-			copy(wcp, weights)
-			adjW[v] = wcp
+			adjW[v-interval.Lo] = weights
 		}
 	}); err != nil {
 		return err
@@ -373,16 +370,15 @@ func (e *Engine) processInterval(ir *ivRun) error {
 		return err
 	}
 	var auxBatch *csr.AuxBatch
-	inSources := make(map[uint32][]uint32)
+	var inSources [][]uint32 // by v - interval.Lo, like adj
 	if ir.isAux {
 		auxBatch, _, err = ir.aux.LoadBatch(ir.iv, verts)
 		if err != nil {
 			return err
 		}
+		inSources = make([][]uint32, len(allVerts))
 		if _, err := g.LoadInEdges(ir.iv, verts, func(v uint32, srcs []uint32) {
-			cp := make([]uint32, len(srcs))
-			copy(cp, srcs)
-			inSources[v] = cp
+			inSources[v-interval.Lo] = srcs
 		}); err != nil {
 			return err
 		}
@@ -424,8 +420,8 @@ func (e *Engine) processInterval(ir *ivRun) error {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			ctx := &gbCtx{eng: e, ir: ir, vb: vb, adj: adj, adjW: adjW, auxBatch: auxBatch, inSources: inSources,
-				sends: ir.sends.Worker(w)}
+			ctx := &gbCtx{eng: e, ir: ir, lo: interval.Lo, vb: vb, adj: adj, adjW: adjW, auxBatch: auxBatch,
+				inSources: inSources, sends: ir.sends.Worker(w)}
 			var msgBuf []vc.Msg
 			for i := lo; i < hi; i++ {
 				v := verts[i]
@@ -462,14 +458,17 @@ func (e *Engine) processInterval(ir *ivRun) error {
 	return nil
 }
 
+// gbCtx implements vc.Context for one worker. The per-vertex lists are
+// indexed by vertex - lo, the interval's first vertex.
 type gbCtx struct {
 	eng       *Engine
 	ir        *ivRun
+	lo        uint32
 	vb        *csr.ValueBatch
-	adj       map[uint32][]uint32
-	adjW      map[uint32][]uint32 // nil for unweighted graphs
+	adj       [][]uint32
+	adjW      [][]uint32 // nil for unweighted graphs
 	auxBatch  *csr.AuxBatch
-	inSources map[uint32][]uint32
+	inSources [][]uint32 // nil unless the program uses aux state
 	sends     *[]extsort.Record
 
 	vertex     uint32
@@ -482,17 +481,22 @@ func (c *gbCtx) Vertex() uint32      { return c.vertex }
 func (c *gbCtx) Value() uint32       { return c.vb.Get(c.vertex) }
 func (c *gbCtx) SetValue(v uint32)   { c.vb.Set(c.vertex, v) }
 func (c *gbCtx) VoteToHalt()         { *c.haltedFlag = true }
-func (c *gbCtx) OutEdges() []uint32  { return c.adj[c.vertex] }
+func (c *gbCtx) OutEdges() []uint32  { return c.adj[c.vertex-c.lo] }
 func (c *gbCtx) OutWeights() []uint32 {
 	if c.adjW == nil {
 		return nil
 	}
-	return c.adjW[c.vertex]
+	return c.adjW[c.vertex-c.lo]
 }
 func (c *gbCtx) Send(dst, data uint32) {
 	*c.sends = append(*c.sends, extsort.Record{Dst: dst, Src: c.vertex, Data: data})
 }
-func (c *gbCtx) InEdgeSources() []uint32 { return c.inSources[c.vertex] }
+func (c *gbCtx) InEdgeSources() []uint32 {
+	if c.inSources == nil {
+		return nil
+	}
+	return c.inSources[c.vertex-c.lo]
+}
 func (c *gbCtx) Aux() []uint32 {
 	if c.auxBatch == nil {
 		return nil

@@ -53,6 +53,15 @@ type Update struct {
 // (ReclaimConsumed, which may run on another engine's goroutine when
 // runs share a device) and the prefetch planner (FilePages). FlushAll,
 // Read and ResetAll are not concurrent with appends.
+//
+// Page buffers are recycled: a page written to the device goes back to
+// the log's free list and becomes a later top page, so a run allocates
+// its log pages once, in the first generations, instead of once per
+// record page. The log keeps them, and its read-back buffer, until it is
+// dropped. A recycled page stores exactly what a fresh one would: every
+// page has the same record slots, a full page rewrites all of them, the
+// bytes past the last slot are never written, and a partial page's
+// unused slots are cleared when it is flushed.
 type Log struct {
 	dev       *ssd.Device
 	prefix    string
@@ -65,6 +74,9 @@ type Log struct {
 	top      [][]byte    // top (partial) page per interval
 	fill     []int       // bytes used in top page
 	full     [][][]byte  // completed pages awaiting eviction
+	spare    [][][]byte  // an empty full, handed back by the last eviction
+	free     [][]byte    // written pages, ready to become top pages
+	readBuf  []byte      // Read's page buffer, idle between reads
 	count    []uint64    // records per interval
 	total    uint64
 	buffered int64 // bytes held in completed (evictable) pages
@@ -206,7 +218,12 @@ func Replay(next, cur *Log, fwdFrom int32, staged ...[]Update) error {
 // caller holds mu.
 func (l *Log) put(interval int, dst, src, data uint32) bool {
 	if l.top[interval] == nil {
-		l.top[interval] = make([]byte, l.pageSize)
+		if n := len(l.free); n > 0 {
+			l.top[interval] = l.free[n-1]
+			l.free = l.free[:n-1]
+		} else {
+			l.top[interval] = make([]byte, l.pageSize)
+		}
 		l.fill[interval] = pageHeader
 	}
 	page := l.top[interval]
@@ -232,28 +249,37 @@ func (l *Log) put(interval int, dst, src, data uint32) bool {
 // evictFull writes every completed page to its interval's file, batching
 // the pages of each interval into a single device write. The device writes
 // run without mu held: a write that hits the disk quota runs the device's
-// reclaim hooks, which may call ReclaimConsumed on this log.
+// reclaim hooks, which may call ReclaimConsumed on this log. The eviction
+// takes the whole full table and leaves the spare one in its place, so
+// concurrent appends fill a table no eviction is reading; after the
+// writes the pages go to the free list and the table becomes the spare.
 func (l *Log) evictFull() error {
 	// Tid 2 keeps log-unit spans off the engine's stage timeline.
 	sp := l.tr.BeginTid("mlog", "evict", 2)
 	defer sp.End()
 	l.mu.Lock()
-	batches := make([][][]byte, len(l.full))
-	for iv, pages := range l.full {
-		batches[iv] = pages
-		l.full[iv] = nil
+	batches := l.full
+	l.full, l.spare = l.spare, nil
+	if l.full == nil {
+		l.full = make([][][]byte, len(batches))
+	}
+	for _, pages := range batches {
 		l.buffered -= int64(len(pages) * l.pageSize)
 	}
 	l.mu.Unlock()
+	var err error
 	for iv, pages := range batches {
-		if len(pages) == 0 {
-			continue
-		}
-		if err := l.writePages(iv, pages); err != nil {
-			return err
+		if len(pages) > 0 && err == nil {
+			err = l.writePages(iv, pages)
 		}
 	}
-	return nil
+	l.mu.Lock()
+	for iv, pages := range batches {
+		batches[iv] = l.recycle(pages)
+	}
+	l.spare = batches
+	l.mu.Unlock()
+	return err
 }
 
 // writePages appends pages to interval iv's file in one device write.
@@ -262,11 +288,7 @@ func (l *Log) writePages(iv int, pages [][]byte) error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 0, len(pages)*l.pageSize)
-	for _, p := range pages {
-		buf = append(buf, p...)
-	}
-	return f.AppendPages(buf)
+	return f.AppendPages(pages)
 }
 
 func (l *Log) file(iv int) (*ssd.File, error) {
@@ -321,16 +343,29 @@ func (l *Log) FlushInterval(iv int) error {
 	l.fill[iv] = 0
 	l.mu.Unlock()
 	if page != nil && fill > pageHeader {
-		for i := fill; i < l.pageSize; i++ {
-			page[i] = 0
-		}
+		clear(page[fill:])
 		sealPage(page, fill)
 		pages = append(pages, page)
 	}
-	if len(pages) == 0 {
-		return nil
+	var err error
+	if len(pages) > 0 {
+		err = l.writePages(iv, pages)
 	}
-	return l.writePages(iv, pages)
+	l.mu.Lock()
+	pages = l.recycle(pages)
+	if l.full[iv] == nil {
+		l.full[iv] = pages
+	}
+	l.mu.Unlock()
+	return err
+}
+
+// recycle moves written or dropped pages to the free list and returns
+// the emptied slice, keeping its capacity. The caller holds mu.
+func (l *Log) recycle(pages [][]byte) [][]byte {
+	l.free = append(l.free, pages...)
+	clear(pages)
+	return pages[:0]
 }
 
 // sealPage records the page's byte fill in its header.
@@ -370,25 +405,46 @@ func (l *Log) Read(interval int, fn func(dst, src, data uint32)) error {
 	if n == 0 || f == nil {
 		return nil
 	}
-	r := ssd.NewReader(f, 64)
+	// Read the file's pages in batches of readAhead, as a Reader over it
+	// would, into the log's read buffer, and decode them in place. The
+	// buffer is taken out of the log for the read, so concurrent reads of
+	// different intervals each use their own.
+	l.mu.Lock()
+	buf := l.readBuf
+	l.readBuf = nil
+	l.mu.Unlock()
+	defer func() {
+		l.mu.Lock()
+		l.readBuf = buf
+		l.mu.Unlock()
+	}()
+	ps := l.pageSize
+	total := f.DataPages()
 	remaining := n
-	var buf []byte
-	for remaining > 0 {
-		need := l.pageSize
-		if cap(buf) < need {
-			buf = make([]byte, need)
+	for start := 0; remaining > 0; start += readAhead {
+		batch := min(readAhead, total-start)
+		if batch <= 0 {
+			return fmt.Errorf("mlog: read interval %d: %d records past the end of the log", interval, remaining)
 		}
-		if err := r.ReadFull(buf[:need]); err != nil {
+		if cap(buf) < batch*ps {
+			buf = make([]byte, batch*ps)
+		}
+		if err := f.ReadPageRange(start, batch, buf[:batch*ps]); err != nil {
 			return fmt.Errorf("mlog: read interval %d: %w", interval, err)
 		}
-		inPage, err := decodePage(buf[:need], remaining, fn)
-		if err != nil {
-			return fmt.Errorf("mlog: interval %d: %w", interval, err)
+		for p := 0; p < batch && remaining > 0; p++ {
+			inPage, err := decodePage(buf[p*ps:(p+1)*ps], remaining, fn)
+			if err != nil {
+				return fmt.Errorf("mlog: interval %d: %w", interval, err)
+			}
+			remaining -= inPage
 		}
-		remaining -= inPage
 	}
 	return nil
 }
+
+// readAhead is how many pages Read fetches per device batch.
+const readAhead = 64
 
 // decodePage decodes one sealed log page, invoking fn per record, and
 // returns the number of records consumed. The header's record count is
@@ -468,7 +524,8 @@ func (l *Log) ReclaimConsumed() error {
 		l.consumed[iv] = false
 		l.buffered -= int64(len(l.full[iv]) * l.pageSize)
 		l.total -= l.count[iv]
-		l.top[iv], l.fill[iv], l.full[iv], l.count[iv] = nil, 0, nil, 0
+		l.dropBuffers(iv)
+		l.count[iv] = 0
 		if f := l.files[iv]; f != nil {
 			files = append(files, f)
 		}
@@ -489,13 +546,15 @@ func (l *Log) ReclaimConsumed() error {
 func (l *Log) ResetAll() error {
 	l.mu.Lock()
 	for iv := range l.files {
-		l.top[iv], l.fill[iv], l.full[iv], l.count[iv] = nil, 0, nil, 0
-		l.consumed[iv] = false
+		l.dropBuffers(iv)
+		l.count[iv], l.consumed[iv] = 0, false
 	}
 	l.total, l.buffered = 0, 0
-	files := append([]*ssd.File(nil), l.files...)
 	l.mu.Unlock()
-	for _, f := range files {
+	for iv := range l.files {
+		l.mu.Lock()
+		f := l.files[iv]
+		l.mu.Unlock()
 		if f != nil {
 			if err := f.Truncate(); err != nil {
 				return err
@@ -503,4 +562,14 @@ func (l *Log) ResetAll() error {
 		}
 	}
 	return nil
+}
+
+// dropBuffers discards interval iv's unwritten pages, recycling their
+// memory. The caller holds mu.
+func (l *Log) dropBuffers(iv int) {
+	l.full[iv] = l.recycle(l.full[iv])
+	if l.top[iv] != nil {
+		l.free = append(l.free, l.top[iv])
+	}
+	l.top[iv], l.fill[iv] = nil, 0
 }

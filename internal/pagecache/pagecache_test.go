@@ -318,11 +318,11 @@ func newDevCache(t *testing.T, capacityPages int) (*ssd.Device, *Cache, *ssd.Fil
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 32*testPage)
-	for pg := 0; pg < 32; pg++ {
-		copy(buf[pg*testPage:], page(byte(pg)))
+	pages := make([][]byte, 32)
+	for pg := range pages {
+		pages[pg] = page(byte(pg))
 	}
-	if err := f.AppendPages(buf); err != nil {
+	if err := f.AppendPages(pages); err != nil {
 		t.Fatal(err)
 	}
 	return dev, c, f

@@ -31,7 +31,7 @@ func TestLoadFusedSingleInterval(t *testing.T) {
 	}
 	l.FlushAll()
 	// Budget fits exactly one interval's log: no room to fuse, no spill.
-	b, err := LoadFused(l, ivs, 0, 10*mlog.RecordBytes)
+	b, err := Load(l, ivs, 0, Options{SortBudget: 10 * mlog.RecordBytes}, new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestLoadFusedMergesSmallLogs(t *testing.T) {
 	}
 	l.FlushAll()
 	// Budget fits everything: all three logs fuse into one batch.
-	b, err := LoadFused(l, ivs, 0, 1<<20)
+	b, err := Load(l, ivs, 0, Options{SortBudget: 1 << 20}, new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestLoadFusedPartial(t *testing.T) {
 		l.Append(2, 21, 0, 0)
 	}
 	l.FlushAll()
-	b, err := LoadFused(l, ivs, 0, 5*mlog.RecordBytes)
+	b, err := Load(l, ivs, 0, Options{SortBudget: 5 * mlog.RecordBytes}, new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,29 +91,59 @@ func TestLoadFusedPartial(t *testing.T) {
 	}
 }
 
+// group is one destination's messages as the engine delivers them.
+type group struct {
+	dst  uint32
+	msgs []vc.Msg
+}
+
+// fold groups a loaded batch's records by destination, from the first
+// destination >= from, reducing each group to one message when c is
+// non-nil: the engine's per-vertex delivery in miniature.
+func fold(b *Batch, from uint32, c vc.Combiner) []group {
+	var out []group
+	for i := 0; i < len(b.Recs); {
+		dst := b.Recs[i].Dst
+		var msgs []vc.Msg
+		for ; i < len(b.Recs) && b.Recs[i].Dst == dst; i++ {
+			msgs = append(msgs, vc.Msg{Src: b.Recs[i].Src, Data: b.Recs[i].Data})
+		}
+		if dst < from {
+			continue
+		}
+		if c != nil {
+			for _, m := range msgs[1:] {
+				msgs[0].Data = c.Combine(msgs[0].Data, m.Data)
+			}
+			msgs = msgs[:1]
+		}
+		out = append(out, group{dst, msgs})
+	}
+	return out
+}
+
 func TestGrouperGroupsByDst(t *testing.T) {
 	l, ivs := fixture(t)
 	l.Append(0, 2, 10, 100)
 	l.Append(0, 2, 11, 200)
 	l.Append(0, 4, 12, 300)
 	l.FlushAll()
-	b, _ := LoadFused(l, ivs, 0, 1<<20)
-	g := NewGrouper(b, nil)
+	b, _ := Load(l, ivs, 0, Options{SortBudget: 1 << 20}, new(Scratch))
+	gs := fold(b, 0, nil)
 
-	dst, msgs, ok := g.Next()
-	if !ok || dst != 2 || len(msgs) != 2 {
-		t.Fatalf("first group dst=%d msgs=%v", dst, msgs)
+	if len(gs) < 1 || gs[0].dst != 2 || len(gs[0].msgs) != 2 {
+		t.Fatalf("first group %+v", gs)
 	}
+	msgs := gs[0].msgs
 	total := msgs[0].Data + msgs[1].Data
 	if total != 300 {
 		t.Fatalf("group payloads = %v", msgs)
 	}
-	dst, msgs, ok = g.Next()
-	if !ok || dst != 4 || len(msgs) != 1 || msgs[0].Data != 300 {
-		t.Fatalf("second group dst=%d msgs=%v", dst, msgs)
+	if len(gs) < 2 || gs[1].dst != 4 || len(gs[1].msgs) != 1 || gs[1].msgs[0].Data != 300 {
+		t.Fatalf("second group %+v", gs)
 	}
-	if _, _, ok := g.Next(); ok {
-		t.Fatal("grouper did not end")
+	if len(gs) != 2 {
+		t.Fatalf("%d groups, want 2", len(gs))
 	}
 }
 
@@ -127,11 +157,10 @@ func TestGrouperCombines(t *testing.T) {
 	l.Append(0, 2, 11, 200)
 	l.Append(0, 2, 12, 300)
 	l.FlushAll()
-	b, _ := LoadFused(l, ivs, 0, 1<<20)
-	g := NewGrouper(b, sumCombiner{})
-	_, msgs, ok := g.Next()
-	if !ok || len(msgs) != 1 || msgs[0].Data != 600 {
-		t.Fatalf("combined msgs = %v", msgs)
+	b, _ := Load(l, ivs, 0, Options{SortBudget: 1 << 20}, new(Scratch))
+	gs := fold(b, 0, sumCombiner{})
+	if len(gs) != 1 || len(gs[0].msgs) != 1 || gs[0].msgs[0].Data != 600 {
+		t.Fatalf("combined groups = %+v", gs)
 	}
 }
 
@@ -141,12 +170,9 @@ func TestGrouperSkipTo(t *testing.T) {
 		l.Append(0, dst, 0, uint32(dst))
 	}
 	l.FlushAll()
-	b, _ := LoadFused(l, ivs, 0, 1<<20)
-	g := NewGrouper(b, nil)
-	g.SkipTo(4)
-	dst, _, ok := g.Next()
-	if !ok || dst != 5 {
-		t.Fatalf("after SkipTo(4), Next = %d", dst)
+	b, _ := Load(l, ivs, 0, Options{SortBudget: 1 << 20}, new(Scratch))
+	if gs := fold(b, 4, nil); len(gs) == 0 || gs[0].dst != 5 {
+		t.Fatalf("groups from 4 = %+v, want the first at 5", gs)
 	}
 }
 
@@ -163,18 +189,13 @@ func TestGrouperMatchesMapGrouping(t *testing.T) {
 		ref[dst] = append(ref[dst], vc.Msg{Src: src, Data: data})
 	}
 	l.FlushAll()
-	b, err := LoadFused(l, ivs, 0, 1<<20)
+	b, err := Load(l, ivs, 0, Options{SortBudget: 1 << 20}, new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGrouper(b, nil)
-	groups := 0
-	for {
-		dst, msgs, ok := g.Next()
-		if !ok {
-			break
-		}
-		groups++
+	gs := fold(b, 0, nil)
+	for _, g := range gs {
+		dst, msgs := g.dst, g.msgs
 		want := ref[dst]
 		if len(msgs) != len(want) {
 			t.Fatalf("dst %d: %d msgs, want %d", dst, len(msgs), len(want))
@@ -193,8 +214,8 @@ func TestGrouperMatchesMapGrouping(t *testing.T) {
 			}
 		}
 	}
-	if groups != len(ref) {
-		t.Fatalf("%d groups, want %d", groups, len(ref))
+	if len(gs) != len(ref) {
+		t.Fatalf("%d groups, want %d", len(gs), len(ref))
 	}
 }
 
@@ -202,7 +223,7 @@ func TestLoadFusedLastInterval(t *testing.T) {
 	l, ivs := fixture(t)
 	l.Append(2, 25, 0, 0)
 	l.FlushAll()
-	b, err := LoadFused(l, ivs, 2, 1<<20)
+	b, err := Load(l, ivs, 2, Options{SortBudget: 1 << 20}, new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,18 +234,19 @@ func TestLoadFusedLastInterval(t *testing.T) {
 
 func TestGrouperEmptyBatch(t *testing.T) {
 	l, ivs := fixture(t)
-	b, err := LoadFused(l, ivs, 0, 1<<20)
+	b, err := Load(l, ivs, 0, Options{SortBudget: 1 << 20}, new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(b.Recs) != 0 {
 		t.Fatalf("recs = %v", b.Recs)
 	}
-	g := NewGrouper(b, nil)
-	if _, _, ok := g.Next(); ok {
-		t.Fatal("Next on empty batch returned a group")
+	if gs := fold(b, 0, nil); len(gs) != 0 {
+		t.Fatalf("empty batch folded to %+v", gs)
 	}
-	g.SkipTo(100) // must not panic
+	if gs := fold(b, 100, nil); len(gs) != 0 { // past every vertex
+		t.Fatalf("empty batch from 100 folded to %+v", gs)
+	}
 }
 
 // A record outside its interval's vertex range is corrupt log content:
@@ -234,7 +256,7 @@ func TestLoadRejectsOutOfRangeRecord(t *testing.T) {
 	l.Append(0, 3, 0, 0)
 	l.Append(0, 25, 0, 0) // interval 0 holds [0, 10)
 	l.FlushAll()
-	if _, err := Load(l, ivs, 0, Options{SortBudget: 1 << 20, NoFuse: true}); !errors.Is(err, extsort.ErrOutOfRange) {
+	if _, err := Load(l, ivs, 0, Options{SortBudget: 1 << 20, NoFuse: true}, new(Scratch)); !errors.Is(err, extsort.ErrOutOfRange) {
 		t.Fatalf("err = %v, want extsort.ErrOutOfRange", err)
 	}
 }

@@ -74,7 +74,7 @@ func TestSpillSingleOversizedInterval(t *testing.T) {
 	l.FlushAll()
 
 	budget := int64(50) * mlog.RecordBytes // 10% of the log
-	b, err := Load(l, ivs, 0, Options{SortBudget: budget})
+	b, err := Load(l, ivs, 0, Options{SortBudget: budget}, new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,13 +122,8 @@ func TestSpillMatchesInMemory(t *testing.T) {
 	fold := func(b *Batch) map[uint32]uint32 {
 		out := make(map[uint32]uint32)
 		for {
-			g := NewGrouper(b, sumCombiner{})
-			for {
-				dst, msgs, ok := g.Next()
-				if !ok {
-					break
-				}
-				out[dst] = msgs[0].Data
+			for _, g := range fold(b, 0, sumCombiner{}) {
+				out[g.dst] = g.msgs[0].Data
 			}
 			more, err := b.NextChunk()
 			if err != nil {
@@ -141,7 +136,7 @@ func TestSpillMatchesInMemory(t *testing.T) {
 	}
 
 	l1, ivs1 := build()
-	mem, err := Load(l1, ivs1, 0, Options{SortBudget: 1 << 20})
+	mem, err := Load(l1, ivs1, 0, Options{SortBudget: 1 << 20}, new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +146,7 @@ func TestSpillMatchesInMemory(t *testing.T) {
 	want := fold(mem)
 
 	l2, ivs2 := build()
-	sp, err := Load(l2, ivs2, 0, Options{SortBudget: 30 * mlog.RecordBytes})
+	sp, err := Load(l2, ivs2, 0, Options{SortBudget: 30 * mlog.RecordBytes}, new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +183,7 @@ func TestSpillBoundaryExactBudget(t *testing.T) {
 				l.Append(0, uint32(i), 0, uint32(i))
 			}
 			l.FlushAll()
-			b, err := Load(l, ivs, 0, Options{SortBudget: 20 * mlog.RecordBytes})
+			b, err := Load(l, ivs, 0, Options{SortBudget: 20 * mlog.RecordBytes}, new(Scratch))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,7 +220,7 @@ func TestFuseAtBudgetEdge(t *testing.T) {
 			}
 			l.Append(2, 20, 0, 0) // non-empty so it can't fuse for free
 			l.FlushAll()
-			b, err := Load(l, ivs, 0, Options{SortBudget: 20 * mlog.RecordBytes})
+			b, err := Load(l, ivs, 0, Options{SortBudget: 20 * mlog.RecordBytes}, new(Scratch))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -250,7 +245,7 @@ func TestNoFuseStillSpills(t *testing.T) {
 	l.FlushAll()
 	opts := Options{SortBudget: 20 * mlog.RecordBytes, NoFuse: true}
 
-	b0, err := Load(l, ivs, 0, opts)
+	b0, err := Load(l, ivs, 0, opts, new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +253,7 @@ func TestNoFuseStillSpills(t *testing.T) {
 		t.Fatalf("NoFuse small batch = %+v", b0)
 	}
 
-	b1, err := Load(l, ivs, 1, opts)
+	b1, err := Load(l, ivs, 1, opts, new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +278,7 @@ func TestSpillCloseReleasesRuns(t *testing.T) {
 	dev := l.Device()
 	before := dev.UsedBytes()
 
-	b, err := Load(l, ivs, 0, Options{SortBudget: 40 * mlog.RecordBytes})
+	b, err := Load(l, ivs, 0, Options{SortBudget: 40 * mlog.RecordBytes}, new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +309,7 @@ func TestSpillPreservesSendOrder(t *testing.T) {
 			l.Append(0, uint32(rng.Intn(40)), uint32(i), rng.Uint32())
 		}
 		l.FlushAll()
-		b, err := Load(l, ivs, 0, Options{SortBudget: budget})
+		b, err := Load(l, ivs, 0, Options{SortBudget: budget}, new(Scratch))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ package ssd_test
 // without an import cycle (ssd only knows the PageCache interface).
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -28,13 +29,11 @@ func fillFile(t *testing.T, dev *ssd.Device, name string, pages int) *ssd.File {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, pages*ps)
-	for pg := 0; pg < pages; pg++ {
-		for i := 0; i < ps; i++ {
-			buf[pg*ps+i] = byte(pg)
-		}
+	data := make([][]byte, pages)
+	for pg := range data {
+		data[pg] = bytes.Repeat([]byte{byte(pg)}, ps)
 	}
-	if err := f.AppendPages(buf); err != nil {
+	if err := f.AppendPages(data); err != nil {
 		t.Fatal(err)
 	}
 	return f

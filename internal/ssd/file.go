@@ -314,14 +314,16 @@ func (f *File) AppendPage(data []byte) (int, error) {
 	return idx, nil
 }
 
-// AppendPages appends len(data)/PageSize pages as one batch and updates
-// the logical size. data must be a whole number of pages.
-func (f *File) AppendPages(data []byte) error {
+// AppendPages appends the given pages, each exactly one page long, as one
+// batch and updates the logical size. The file keeps no reference to them.
+func (f *File) AppendPages(pages [][]byte) error {
 	ps := f.dev.cfg.PageSize
-	if len(data)%ps != 0 {
-		return ErrShortBuffer
+	for _, p := range pages {
+		if len(p) != ps {
+			return ErrShortBuffer
+		}
 	}
-	n := len(data) / ps
+	n := len(pages)
 	if n == 0 {
 		return nil
 	}
@@ -334,8 +336,8 @@ func (f *File) AppendPages(data []byte) error {
 		f.s.mu.Unlock()
 		return err
 	}
-	for i := 0; i < n; i++ {
-		if err := f.writePageLocked(start+i, data[i*ps:(i+1)*ps]); err != nil {
+	for i, p := range pages {
+		if err := f.writePageLocked(start+i, p); err != nil {
 			unused := n - (f.s.store.numPages() - start)
 			f.s.mu.Unlock()
 			f.dev.freePages(unused)
@@ -347,8 +349,8 @@ func (f *File) AppendPages(data []byte) error {
 	f.s.pagesWritten.Add(uint64(n))
 	f.dev.chargeWrite(n, maxPerChannelRange(n, f.dev.cfg.Channels), f.scope)
 	if c := f.dev.cache; c != nil {
-		for i := 0; i < n; i++ {
-			c.Write(f.id, start+i, data[i*ps:(i+1)*ps])
+		for i, p := range pages {
+			c.Write(f.id, start+i, p)
 		}
 	}
 	return nil

@@ -21,13 +21,11 @@ func writeFile(t *testing.T, d *Device, name string, n int) *File {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, n*d.PageSize())
-	for pg := 0; pg < n; pg++ {
-		for i := 0; i < d.PageSize(); i++ {
-			buf[pg*d.PageSize()+i] = byte(pg + 1)
-		}
+	pages := make([][]byte, n)
+	for pg := range pages {
+		pages[pg] = bytes.Repeat([]byte{byte(pg + 1)}, d.PageSize())
 	}
-	if err := f.AppendPages(buf); err != nil {
+	if err := f.AppendPages(pages); err != nil {
 		t.Fatal(err)
 	}
 	return f

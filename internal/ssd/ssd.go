@@ -924,7 +924,11 @@ func maxPerChannel(chanBase uint32, channels int, pages []int) int {
 	if len(pages) == 1 {
 		return 1
 	}
-	counts := make([]int, channels)
+	var small [64]int // keeps the common case off the heap
+	counts := small[:min(channels, len(small))]
+	if channels > len(small) {
+		counts = make([]int, channels)
+	}
 	maxc := 0
 	for _, p := range pages {
 		c := int((chanBase + uint32(p)) % uint32(channels))

@@ -53,12 +53,16 @@ func (m *memStore) readPage(idx int, buf []byte) error {
 	return nil
 }
 
+// writePage extends the store by reusing the page memory a truncate left
+// in the backing array, when there is some, so a log file truncated and
+// rewritten every superstep allocates its pages once.
 func (m *memStore) writePage(idx int, data []byte) error {
 	if idx == len(m.pages) {
-		p := make([]byte, m.pageSize)
-		copy(p, data)
-		m.pages = append(m.pages, p)
-		return nil
+		if idx < cap(m.pages) && m.pages[:idx+1][idx] != nil {
+			m.pages = m.pages[:idx+1]
+		} else {
+			m.pages = append(m.pages, make([]byte, m.pageSize))
+		}
 	}
 	copy(m.pages[idx], data)
 	return nil
